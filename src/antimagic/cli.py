@@ -15,8 +15,8 @@ from pathlib import Path
 from . import io as aio
 from .conditions import check_conditions
 from .corona import CoronaError
-from .graphs import GraphError, degree_profile
-from .labeling import ConditionsNotMet, LabelingError, run_type1, run_type2
+from .graphs import Graph, GraphError, degree_profile
+from .labeling import ConditionsNotMet, Labeling, LabelingError, run_type1, run_type2
 from .verify import NotABijection, Status, TooLarge, brute_force_search, random_search, vertex_sums
 
 EXIT_OK = 0
@@ -98,6 +98,13 @@ def _read_json(path: Path) -> object:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def _load_labeling(path: Path, g: Graph) -> Labeling:
+    """Read a labeling of g from a .csv file or, otherwise, a JSON file."""
+    if path.suffix == ".csv":
+        return aio.labeling_from_csv(path.read_text(encoding="utf-8"), g)
+    return aio.labeling_from_json(_read_json(path), g)
+
+
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -122,11 +129,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         ],
     }
     print(f"{summary['vertices']} vertices, {summary['edges']} edges")
-    text = aio.canonical_dumps(summary)
-    if args.out is not None:
-        args.out.write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(aio.canonical_dumps(summary), args.out)
     if args.graph_out is not None:
         args.graph_out.write_text(
             aio.canonical_dumps(aio.graph_to_json(inst.composite)), encoding="utf-8"
@@ -188,10 +191,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = aio.graph_from_json(_read_json(args.graph))
-    if args.labeling.suffix == ".csv":
-        labeling = aio.labeling_from_csv(args.labeling.read_text(encoding="utf-8"), g)
-    else:
-        labeling = aio.labeling_from_json(_read_json(args.labeling), g)
+    labeling = _load_labeling(args.labeling, g)
     report = vertex_sums(g, labeling)
     sys.stdout.write(aio.canonical_dumps(aio.sum_report_to_json(g, report)))
     return EXIT_OK if report.is_antimagic else EXIT_NOT_ANTIMAGIC
@@ -218,10 +218,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     labeling = None
     sums = None
     if args.labeling is not None:
-        if args.labeling.suffix == ".csv":
-            labeling = aio.labeling_from_csv(args.labeling.read_text(encoding="utf-8"), g)
-        else:
-            labeling = aio.labeling_from_json(_read_json(args.labeling), g)
+        labeling = _load_labeling(args.labeling, g)
         sums = vertex_sums(g, labeling).sums
     if args.format == "json":
         if labeling is None:

@@ -43,174 +43,105 @@ class ConditionReport:
 
 def check_conditions(inst: CoronaInstance) -> ConditionReport:
     if isinstance(inst.base, PanType1):
-        return _pan_conditions(inst)
+        return ConditionReport(tuple(_pan_conditions(inst, inst.base.r)))
     if inst.base.p == 1:
         # The single-leg spider composite has a universal center; the
         # labeling needs no hypotheses.
         return ConditionReport(conditions=())
-    if inst.base.p == 2:
-        return _spider_p2_conditions(inst)
-    return _spider_general_conditions(inst)
+    return ConditionReport(tuple(_spider_conditions(inst, inst.base.p)))
 
 
-def _pan_conditions(inst: CoronaInstance) -> ConditionReport:
-    r = inst.base.r
+def _pan_conditions(inst: CoronaInstance, r: int) -> list[Condition]:
     comp_deg = degree_profile(inst.composite).degrees
-    att = [degree_profile(g) for g in inst.attachments]
-    sizes = inst.attachment_orders
-    out: list[Condition] = []
-    for i in range(r):
-        out.append(
-            _cond(
-                f"T41-size-{i}",
-                f"|V(H{i})| <= |V(H{i + 1})|",
-                sizes[i],
-                sizes[i + 1],
-            )
-        )
-    out.append(
+    h0, h1 = (degree_profile(inst.block(i).graph) for i in (0, 1))
+    return [
+        *_size_chain(inst, "T41-size-{}", range(r)),
         Condition(
             id="T41-h0h1",
             description="max deg H0 < min deg H1",
-            lhs=att[0].max_degree,
-            rhs=att[1].min_degree,
-            holds=att[0].max_degree < att[1].min_degree,
-        )
-    )
-    for i in range(1, r):
-        out.append(
-            _cond(
-                f"T41-chain-{i}",
-                f"max deg H{i} <= min deg H{i + 1}",
-                att[i].max_degree,
-                att[i + 1].min_degree,
-            )
-        )
-    pendant_deg = comp_deg[0]
-    for i in range(r + 1):
-        out.append(
-            _cond(
-                f"T41-star-{i}",
-                f"composite deg u0 <= min composite deg over H{i}",
-                pendant_deg,
-                _block_min_deg(inst, comp_deg, i),
-            )
-        )
-    out.append(
+            lhs=h0.max_degree,
+            rhs=h1.min_degree,
+            holds=h0.max_degree < h1.min_degree,
+        ),
+        *_degree_chain(inst, "T41-chain-{}", range(1, r)),
+        *(_tip_link(inst, comp_deg, f"T41-star-{i}", "u0", 0, i) for i in range(r + 1)),
         _cond(
             "T41-cap",
             f"max composite deg over H{r} <= composite deg u1",
-            _block_max_deg(inst, comp_deg, r),
+            max(comp_deg[v] for v in inst.block(r).vertex_ids),
             comp_deg[1],
-        )
-    )
-    return ConditionReport(tuple(out))
+        ),
+    ]
 
 
-def _spider_p2_conditions(inst: CoronaInstance) -> ConditionReport:
+def _spider_conditions(inst: CoronaInstance, p: int) -> list[Condition]:
+    """T42 for p = 2, T43 for p >= 3."""
     comp_deg = degree_profile(inst.composite).degrees
-    att = {b.index: degree_profile(b.graph) for b in inst.blocks}
+    general = p > 2
+    # The leg tips x_p, y_p, z_p sit at ids p, 2p, 3p.
+    tip_id = "T43-ii-{}" if general else "T42-deg-{}2"
+    out = [
+        *_size_chain(inst, "T43-size-{}" if general else "T42-size-{}", range(1, 3 * p)),
+        *_degree_chain(inst, "T43-i-{}" if general else "T42-chain-{}", range(1, 3 * p)),
+        *(
+            _tip_link(inst, comp_deg, tip_id.format(leg), "of leg tip", k * p, k + 1)
+            for k, leg in enumerate("xyz", start=1)
+        ),
+    ]
+    if general:
+        # The block adjacent to z1 and z2 is H(3p-3); the block adjacent to
+        # x1 and v0 is H(3p-2). z2 sits at id 2p + 2.
+        out += [
+            _cond(
+                "T43-iii",
+                f"max composite deg over H{3 * p - 3} <= |V(H4)| + 1",
+                max(comp_deg[v] for v in inst.block(3 * p - 3).vertex_ids),
+                inst.block(4).graph.vertex_count + 1,
+            ),
+            _tip_link(inst, comp_deg, "T43-iv", "z2", 2 * p + 2, 3 * p - 2),
+        ]
+    return out
+
+
+def _size_chain(inst: CoronaInstance, id_format: str, blocks: range) -> list[Condition]:
+    """|V(Hi)| <= |V(H(i+1))| for each i in blocks."""
     sizes = {b.index: b.graph.vertex_count for b in inst.blocks}
-    out: list[Condition] = []
-    for i in range(1, 6):
-        out.append(
-            _cond(
-                f"T42-size-{i}",
-                f"|V(H{i})| <= |V(H{i + 1})|",
-                sizes[i],
-                sizes[i + 1],
-            )
-        )
-    for i in range(1, 6):
-        out.append(
-            _cond(
-                f"T42-chain-{i}",
-                f"max deg H{i} <= min deg H{i + 1}",
-                att[i].max_degree,
-                att[i + 1].min_degree,
-            )
-        )
-    # Tip vertices: x2 = 2, y2 = 4, z2 = 6 when p = 2.
-    for cond_id, tip, block in (
-        ("T42-deg-x2", 2, 2),
-        ("T42-deg-y2", 4, 3),
-        ("T42-deg-z2", 6, 4),
-    ):
-        out.append(
-            _cond(
-                cond_id,
-                f"composite deg of leg tip <= min composite deg over H{block}",
-                comp_deg[tip],
-                _block_min_deg(inst, comp_deg, block),
-            )
-        )
-    return ConditionReport(tuple(out))
+    return [
+        _cond(id_format.format(i), f"|V(H{i})| <= |V(H{i + 1})|", sizes[i], sizes[i + 1])
+        for i in blocks
+    ]
 
 
-def _spider_general_conditions(inst: CoronaInstance) -> ConditionReport:
-    p = inst.base.p
-    comp_deg = degree_profile(inst.composite).degrees
+def _degree_chain(inst: CoronaInstance, id_format: str, blocks: range) -> list[Condition]:
+    """max deg Hi <= min deg H(i+1) for each i in blocks."""
     att = {b.index: degree_profile(b.graph) for b in inst.blocks}
-    sizes = {b.index: b.graph.vertex_count for b in inst.blocks}
-    out: list[Condition] = []
-    for i in range(1, 3 * p):
-        out.append(
-            _cond(
-                f"T43-size-{i}",
-                f"|V(H{i})| <= |V(H{i + 1})|",
-                sizes[i],
-                sizes[i + 1],
-            )
-        )
-    for i in range(1, 3 * p):
-        out.append(
-            _cond(
-                f"T43-i-{i}",
-                f"max deg H{i} <= min deg H{i + 1}",
-                att[i].max_degree,
-                att[i + 1].min_degree,
-            )
-        )
-    for cond_id, tip, block in (
-        ("T43-ii-x", p, 2),
-        ("T43-ii-y", 2 * p, 3),
-        ("T43-ii-z", 3 * p, 4),
-    ):
-        out.append(
-            _cond(
-                cond_id,
-                f"composite deg of leg tip <= min composite deg over H{block}",
-                comp_deg[tip],
-                _block_min_deg(inst, comp_deg, block),
-            )
-        )
-    # The block adjacent to z1 and z2 is H(3p-3); the block adjacent to
-    # x1 and v0 is H(3p-2). z2 sits at id 2p + 2.
-    out.append(
+    return [
         _cond(
-            "T43-iii",
-            f"max composite deg over H{3 * p - 3} <= |V(H4)| + 1",
-            _block_max_deg(inst, comp_deg, 3 * p - 3),
-            sizes[4] + 1,
+            id_format.format(i),
+            f"max deg H{i} <= min deg H{i + 1}",
+            att[i].max_degree,
+            att[i + 1].min_degree,
         )
+        for i in blocks
+    ]
+
+
+def _tip_link(
+    inst: CoronaInstance,
+    comp_deg: tuple[int, ...],
+    cond_id: str,
+    vertex_name: str,
+    vertex: int,
+    block: int,
+) -> Condition:
+    """The composite degree of one base vertex is at most that of every
+    vertex of block."""
+    return _cond(
+        cond_id,
+        f"composite deg {vertex_name} <= min composite deg over H{block}",
+        comp_deg[vertex],
+        min(comp_deg[v] for v in inst.block(block).vertex_ids),
     )
-    out.append(
-        _cond(
-            "T43-iv",
-            f"composite deg z2 <= min composite deg over H{3 * p - 2}",
-            comp_deg[2 * p + 2],
-            _block_min_deg(inst, comp_deg, 3 * p - 2),
-        )
-    )
-    return ConditionReport(tuple(out))
-
-
-def _block_min_deg(inst: CoronaInstance, comp_deg: tuple[int, ...], block: int) -> int:
-    return min(comp_deg[v] for v in inst.block(block).vertex_ids)
-
-
-def _block_max_deg(inst: CoronaInstance, comp_deg: tuple[int, ...], block: int) -> int:
-    return max(comp_deg[v] for v in inst.block(block).vertex_ids)
 
 
 def _cond(cond_id: str, description: str, lhs: int, rhs: int) -> Condition:

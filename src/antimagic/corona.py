@@ -77,12 +77,18 @@ class Block:
     index: int  # block id: 0..r for pan bases, 1..3p for spider bases
     graph: Graph
     vertex_start: int  # composite id of the block's first vertex
-    edge_ids: tuple[int, ...]  # composite ids of the block's internal edges
+    edge_ids: range  # composite ids of the block's internal edges
     endpoints: tuple[int, int]  # composite ids of its base edge, (min, max)
 
     @property
     def vertex_ids(self) -> range:
         return range(self.vertex_start, self.vertex_start + self.graph.vertex_count)
+
+    def cross_fan(self, side: int) -> range:
+        """Composite ids of the cross edges from endpoints[side] (0 lower,
+        1 upper) to the block's vertices, in attachment order."""
+        start = self.edge_ids.stop + side * self.graph.vertex_count
+        return range(start, start + self.graph.vertex_count)
 
 
 @dataclass(frozen=True)
@@ -176,9 +182,10 @@ def _assemble(
         block_id = first_block + k
         start = next_vertex
         names += [f"v{block_id}_{j}" for j in range(1, h.vertex_count + 1)]
-        internal_ids = []
+        # Internal edges, then the cross fans from the lower and the upper
+        # base endpoint, each contiguous; Block.cross_fan relies on this.
+        first_internal = len(edges)
         for a, b in h.edges:
-            internal_ids.append(len(edges))
             edges.append((start + a, start + b))
             roles.append(InternalEdgeRole(block_id))
         lo, hi = base.edges[k]
@@ -191,7 +198,7 @@ def _assemble(
                 index=block_id,
                 graph=h,
                 vertex_start=start,
-                edge_ids=tuple(internal_ids),
+                edge_ids=range(first_internal, first_internal + h.edge_count),
                 endpoints=(lo, hi),
             )
         )

@@ -131,11 +131,6 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.vertex_count
 
 
-def pair_index(g: Graph) -> dict[tuple[int, int], int]:
-    """Map each canonical vertex pair to its edge id."""
-    return {e: i for i, e in enumerate(g.edges)}
-
-
 PRESET_KINDS = (
     "path",
     "cycle",

@@ -23,7 +23,7 @@ from .corona import (
 )
 from .graphs import Graph, make_graph, preset_graph
 from .labeling import Labeling
-from .verify import SumReport
+from .verify import NotABijection, SumReport
 
 PRESET_ALIASES = {
     "K": "complete",
@@ -86,6 +86,8 @@ def instance_from_json(obj: Mapping[str, Any]) -> tuple[CoronaInstance, dict[str
         raise SpecError("attachments must be a list of graph descriptors")
     attachments = [graph_from_json(a) for a in raw_attachments]
     options_obj = obj.get("options", {})
+    if not isinstance(options_obj, Mapping):
+        raise SpecError("options must be an object")
     options = {
         "force": bool(options_obj.get("force", False)),
         "normalize": bool(options_obj.get("normalize", False)),
@@ -93,7 +95,9 @@ def instance_from_json(obj: Mapping[str, Any]) -> tuple[CoronaInstance, dict[str
     if options["normalize"]:
         attachments = list(normalize_attachments(attachments))
     base_type = base["type"]
-    param = int(base["param"])
+    param = base["param"]
+    if isinstance(param, bool) or not isinstance(param, int):
+        raise SpecError(f"base param must be an integer, got {param!r}")
     if base_type == "pan":
         return build_type1(param, attachments), options
     if base_type == "spider":
@@ -131,13 +135,17 @@ def labeling_to_json(
 
 def labeling_from_json(obj: Mapping[str, Any], g: Graph) -> Labeling:
     """Rebuild a labeling for g from an exported edge list, matching by
-    vertex pair. Bijectivity is left to the verifier."""
+    vertex pair. An edge listed twice is rejected; bijectivity of the labels
+    is left to the verifier."""
     if not isinstance(obj, Mapping) or "edges" not in obj:
         raise SpecError("labeling descriptor needs an edges list")
     by_pair: dict[tuple[int, int], int] = {}
     for entry in obj["edges"]:
         u, v, label = int(entry["u"]), int(entry["v"]), int(entry["label"])
-        by_pair[(min(u, v), max(u, v))] = label
+        pair = (min(u, v), max(u, v))
+        if pair in by_pair:
+            raise NotABijection(f"labeling lists edge {pair} twice")
+        by_pair[pair] = label
     labels = []
     for u, v in g.edges:
         if (u, v) not in by_pair:

@@ -1,10 +1,20 @@
 """Constructive antimagic labelings for pan-base and spider-base coronas.
 
-The constructions hand out the label range {1..|E|} in contiguous blocks:
-internal edges of each attachment first, then cross fans whose order is
-driven by ranking vertices on their partial sums, then the remaining base
-edges. Under the checked hypotheses every vertex sum lands in a strictly
-increasing chain, which is what makes the result antimagic.
+Each construction is a schedule: a list of steps that hand out the label
+range {1..|E|} in contiguous runs, either to edges in layout order or to the
+edges joining a fan centre to vertices ranked on their partial sums. Under
+the checked hypotheses every vertex sum lands in a strictly increasing
+chain, which is what makes the result antimagic.
+
+Pan base (run_type1): the pendant star and every block's internal edges,
+to checkpoint c; the ranked cross fans, to b; the rim edges.
+
+Spider base (run_type2), p >= 2: the three tip blocks, to checkpoints A, B
+and z; the internal edges of the middle blocks, to L; their inner fans, to
+N; their ranked outer fans, to S; the round-robin leg edges and the center
+blocks' internal edges, to X; the center fans, then the ranked star of v0
+over its M neighbors. For p = 1 the center is universal and the hub
+construction of universal_vertex_labeling applies.
 """
 
 from __future__ import annotations
@@ -13,8 +23,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .conditions import check_conditions
-from .corona import CoronaInstance, PanType1, SpiderType2
-from .graphs import Graph, pair_index
+from .corona import Block, CoronaInstance, PanType1, SpiderType2
+from .graphs import Graph, spider_leg_vertex
 
 
 class LabelingError(ValueError):
@@ -99,15 +109,15 @@ class LabelingRun:
 class LabelState:
     """Mutable label assignment while a construction runs.
 
-    Tracks per-vertex partial sums so ranking can read them directly.
+    Tracks per-vertex partial sums in ``partial_sums`` so ranking can read
+    them directly.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.labels: list[int | None] = [None] * graph.edge_count
-        self._pair = pair_index(graph)
         self._used: set[int] = set()
-        self._partial = [0] * graph.vertex_count
+        self.partial_sums = [0] * graph.vertex_count
 
     def assign(self, edge_id: int, label: int) -> None:
         if self.labels[edge_id] is not None:
@@ -119,17 +129,8 @@ class LabelState:
         self.labels[edge_id] = label
         self._used.add(label)
         u, v = self.graph.edges[edge_id]
-        self._partial[u] += label
-        self._partial[v] += label
-
-    def assign_pair(self, u: int, v: int, label: int) -> None:
-        self.assign(self._pair[(min(u, v), max(u, v))], label)
-
-    def partial_sum(self, v: int) -> int:
-        return self._partial[v]
-
-    def partial_sums_map(self) -> dict[int, int]:
-        return {v: s for v, s in enumerate(self._partial)}
+        self.partial_sums[u] += label
+        self.partial_sums[v] += label
 
     def finish(self) -> Labeling:
         if any(lab is None for lab in self.labels):
@@ -148,7 +149,7 @@ def label_block(state: LabelState, edge_ids: Sequence[int], start: int) -> int:
 
 def rank_by_partial_sums(
     vertices: Iterable[int],
-    partial_sums: Mapping[int, int],
+    partial_sums: Mapping[int, int] | Sequence[int],
     block: int = -1,
 ) -> RankedBlock:
     """Order vertices by partial sum, non-decreasing; ties by ascending id."""
@@ -170,64 +171,24 @@ def run_type1(inst: CoronaInstance, *, force: bool = False) -> LabelingRun:
 
     Stage 1 gives the pendant star 1..n0+1 (base edge u0-ur gets 1, the
     cross edges 2..n0+1 in attachment order) and every internal block a
-    consecutive run. Stage 2 labels all cross fans in ranked order, block by
-    block, lower base endpoint first. Stage 3 labels the rim edges.
+    consecutive run, ending at checkpoint c. Stage 2 labels the fan ur -> H0
+    and then, block by block, the fans from each Hj's lower and upper base
+    endpoints, all in ranked order, ending at checkpoint b. Stage 3 labels
+    the rim edges. The chain runs u0, the ranked vertices of H0..Hr, then
+    u1..ur.
     """
     if not isinstance(inst.base, PanType1):
         raise WrongBaseType("run_type1 needs a pan-base instance")
     _require_conditions(inst, force)
     r = inst.base.r
-    blocks = inst.blocks
-    n = [b.graph.vertex_count for b in blocks]
-    q = [b.graph.edge_count for b in blocks]
-    st = LabelState(inst.composite)
-    pendant, hub = 0, r  # u0 and ur share the pendant edge
-
-    st.assign_pair(pendant, hub, 1)
-    for j, v in enumerate(blocks[0].vertex_ids, start=1):
-        st.assign_pair(pendant, v, 1 + j)
-    nxt = n[0] + 1
-    for blk in blocks:
-        nxt = label_block(st, blk.edge_ids, nxt)
-    c_off = nxt
-    assert c_off == n[0] + 1 + sum(q)
-
-    ranked = tuple(
-        rank_by_partial_sums(blk.vertex_ids, st.partial_sums_map(), block=blk.index)
-        for blk in blocks
-    )
-
-    for i, v in enumerate(ranked[0].vertices, start=1):
-        st.assign_pair(hub, v, c_off + i)
-    off = c_off + n[0]
-    for j in range(1, r + 1):
-        lo, hi = blocks[j].endpoints
-        for i, v in enumerate(ranked[j].vertices, start=1):
-            st.assign_pair(lo, v, off + i)
-        for i, v in enumerate(ranked[j].vertices, start=1):
-            st.assign_pair(hi, v, off + n[j] + i)
-        off += 2 * n[j]
-    b_off = off
-    assert b_off == c_off + n[0] + 2 * sum(n[1:])
-
-    st.assign_pair(1, 2, b_off + 1)
-    for i in range(1, r - 1):
-        st.assign_pair(i, i + 2, b_off + i + 1)
-    st.assign_pair(r - 1, r, b_off + r)
-    labeling = st.finish()
-
-    entries: list[tuple[str, int]] = [("u0", pendant)]
-    for rk in ranked:
-        for k, v in enumerate(rk.vertices, start=1):
-            entries.append((f"a{rk.block}_{k}", v))
-    entries += [(f"u{j}", j) for j in range(1, r + 1)]
-    chain = _evaluate_chain(inst.composite, labeling, entries)
-    return LabelingRun(
-        labeling=labeling,
-        ranked_blocks=ranked,
-        chain=chain,
-        offsets=(("c", c_off), ("b", b_off)),
-    )
+    h0 = inst.blocks[0]
+    steps: list[tuple] = [("link", "u0", 0), ("run", (0, *h0.cross_fan(0)))]
+    steps += [("run", blk.edge_ids) for blk in inst.blocks]
+    steps += [("mark", "c"), _ranked(h0, h0.cross_fan(1))]
+    steps += [_ranked(blk, blk.cross_fan(0), blk.cross_fan(1)) for blk in inst.blocks[1:]]
+    steps += [("mark", "b"), ("run", range(1, r + 1))]
+    steps += [("link", f"u{j}", j) for j in range(1, r + 1)]
+    return _execute(inst, steps)
 
 
 def label_type2(inst: CoronaInstance, *, force: bool = False) -> Labeling:
@@ -242,10 +203,15 @@ def run_type2(inst: CoronaInstance, *, force: bool = False) -> LabelingRun:
     p >= 2 the legs are consumed from the tips inward: each tip block gets
     its internal run, the tip cross fan in attachment order, then the next
     leg vertex's whole star in ranked order (which labels the outermost leg
-    edge on the way). Interior blocks get internal runs, inner cross fans in
-    attachment order, outer cross fans in ranked order, then the remaining
+    edge on the way); checkpoints A, B and z follow the three tip blocks.
+    Interior blocks get internal runs (to L), inner cross fans in attachment
+    order (to N), outer cross fans in ranked order (to S), then the remaining
     leg edges are labeled round-robin across the legs. The three center
-    blocks and the center star close out the range, again in ranked order.
+    blocks (internal runs to X, then the fans from x1, y1, z1) and the center
+    star over its M neighbors close out the range, again in ranked order.
+    The chain runs through the ranked tip and interior blocks, the leg
+    vertices x(p-1), y(p-1), z(p-1), ..., x2, y2, z2, the ranked center star
+    c1..cM, then v0.
     """
     if not isinstance(inst.base, SpiderType2):
         raise WrongBaseType("run_type2 needs a spider-base instance")
@@ -260,127 +226,96 @@ def run_type2(inst: CoronaInstance, *, force: bool = False) -> LabelingRun:
             offsets=(),
         )
 
+    # Block t sits on base edge t - 1, whose upper endpoint lies farther
+    # from the center.
+    tips = [inst.block(t) for t in (1, 2, 3)]
+    mids = [inst.block(t) for t in range(4, 3 * p - 2)]
+    centers = [inst.block(t) for t in range(3 * p - 2, 3 * p + 1)]
+    steps: list[tuple] = []
+    for blk, checkpoint in zip(tips, ("A", "B", "z")):
+        tip = {blk.endpoints[1]: (blk.index - 1,)}
+        steps += [("run", blk.edge_ids), ("run", blk.cross_fan(1))]
+        steps += [_ranked(blk, blk.cross_fan(0), extra=tip), ("mark", checkpoint)]
+    steps += [("run", blk.edge_ids) for blk in mids]
+    steps += [("mark", "L")] + [("run", blk.cross_fan(0)) for blk in mids]
+    steps += [("mark", "N")] + [_ranked(blk, blk.cross_fan(1)) for blk in mids]
+    steps += [("mark", "S"), ("run", range(3, 3 * p - 3))]
+    steps += [
+        ("link", f"{name}{depth}", spider_leg_vertex(p, leg, depth))
+        for depth in range(p - 1, 1, -1)
+        for leg, name in enumerate("xyz")
+    ]
+    steps += [("run", blk.edge_ids) for blk in centers]
+    steps += [("mark", "X")] + [("run", blk.cross_fan(1)) for blk in centers]
+    star = {blk.endpoints[1]: (blk.index - 1,) for blk in centers}
+    for blk in centers:
+        star.update(zip(blk.vertex_ids, zip(blk.cross_fan(0))))
+    steps += [("mark", "M", len(star)), ("ranked", -1, "c", star), ("link", "v0", 0)]
+    return _execute(inst, steps)
+
+
+def _ranked(
+    blk: Block,
+    *fans: Sequence[int],
+    extra: Mapping[int, tuple[int, ...]] | None = None,
+) -> tuple:
+    """A ranked step over blk's vertices (and extra ones): each fan's edges,
+    one per vertex in attachment order, run in rank order."""
+    star = dict(extra or {})
+    star.update(zip(blk.vertex_ids, zip(*fans)))
+    return ("ranked", blk.index, f"a{blk.index}_", star)
+
+
+def _execute(inst: CoronaInstance, steps: Iterable[tuple]) -> LabelingRun:
+    """Run a schedule. Every step that labels takes the next labels of 1..|E|.
+
+    - ("run", edge_ids): the edges in the given order.
+    - ("ranked", block, prefix, star): star maps each vertex to its edges,
+      one per fan. The vertices are ranked on their live partial sums, each
+      fan runs in rank order, and the ranked vertices join the chain as
+      prefix1, prefix2, ...
+    - ("mark", name[, value]): checkpoint name is the last label handed out
+      so far, or value.
+    - ("link", name, vertex): vertex joins the chain.
+    """
     st = LabelState(inst.composite)
-    block_of = {b.index: b for b in inst.blocks}
-    m = {i: b.graph.vertex_count for i, b in block_of.items()}
-    h = {i: b.graph.edge_count for i, b in block_of.items()}
-
-    def leg_vertex(leg: int, depth: int) -> int:
-        return 0 if depth == 0 else leg * p + depth
-
-    ranked: dict[int, RankedBlock] = {}
-    checkpoints: list[tuple[str, int]] = []
     last = 0
-    # Tip blocks 1..3 on the x, y, z legs.
-    for leg, t in enumerate((1, 2, 3)):
-        blk = block_of[t]
-        last = label_block(st, blk.edge_ids, last)
-        tip = leg_vertex(leg, p)
-        for i, v in enumerate(blk.vertex_ids, start=1):
-            st.assign_pair(tip, v, last + i)
-        last += m[t]
-        rk = rank_by_partial_sums(
-            [tip, *blk.vertex_ids], st.partial_sums_map(), block=t
-        )
-        ranked[t] = rk
-        star_center = leg_vertex(leg, p - 1)
-        for j, v in enumerate(rk.vertices, start=1):
-            st.assign_pair(star_center, v, last + j)
-        last += m[t] + 1
-        if t == 1:
-            checkpoints.append(("A", last))
-            assert last == h[1] + 2 * m[1] + 1
-        elif t == 2:
-            checkpoints.append(("B", last))
-            assert last == h[1] + 2 * m[1] + 1 + h[2] + 2 * m[2] + 1
-    z_off = last
-    checkpoints.append(("z", z_off))
-    assert z_off == h[1] + 2 * m[1] + 2 + h[2] + 2 * m[2] + h[3] + 2 * m[3] + 1
-
-    mids = list(range(4, 3 * p - 2))  # empty when p == 2
-
-    def leg_and_depth(t: int) -> tuple[int, int]:
-        return (t - 1) % 3, (t - 1) // 3
-
-    for t in mids:
-        last = label_block(st, block_of[t].edge_ids, last)
-    l_off = last
-    checkpoints.append(("L", l_off))
-    assert l_off == z_off + sum(h[t] for t in mids)
-
-    for t in mids:
-        leg, depth = leg_and_depth(t)
-        inner = leg_vertex(leg, p - depth - 1)
-        for i, v in enumerate(block_of[t].vertex_ids, start=1):
-            st.assign_pair(inner, v, last + i)
-        last += m[t]
-    n_off = last
-    checkpoints.append(("N", n_off))
-    assert n_off == l_off + sum(m[t] for t in mids)
-
-    for t in mids:
-        ranked[t] = rank_by_partial_sums(
-            block_of[t].vertex_ids, st.partial_sums_map(), block=t
-        )
-    for t in mids:
-        leg, depth = leg_and_depth(t)
-        outer = leg_vertex(leg, p - depth)
-        for i, v in enumerate(ranked[t].vertices, start=1):
-            st.assign_pair(outer, v, last + i)
-        last += m[t]
-    s_off = last
-    checkpoints.append(("S", s_off))
-    assert s_off == n_off + sum(m[t] for t in mids)
-
-    # Remaining leg edges, round-robin x, y, z from the outside in.
-    for k in range(1, p - 1):
-        for leg in range(3):
-            st.assign_pair(
-                leg_vertex(leg, p - k),
-                leg_vertex(leg, p - k - 1),
-                s_off + 3 * (k - 1) + leg + 1,
-            )
-    last = s_off + 3 * (p - 2)
-
-    centers = (3 * p - 2, 3 * p - 1, 3 * p)
-    for t in centers:
-        last = label_block(st, block_of[t].edge_ids, last)
-    x_off = last
-    checkpoints.append(("X", x_off))
-    assert x_off == s_off + (3 * p - 6) + sum(h[t] for t in centers)
-
-    for leg, t in enumerate(centers):
-        anchor = leg_vertex(leg, 1)
-        for i, v in enumerate(block_of[t].vertex_ids, start=1):
-            st.assign_pair(anchor, v, last + i)
-        last += m[t]
-    c_pool = [leg_vertex(0, 1), leg_vertex(1, 1), leg_vertex(2, 1)]
-    for t in centers:
-        c_pool.extend(block_of[t].vertex_ids)
-    c_rank = rank_by_partial_sums(c_pool, st.partial_sums_map(), block=-1)
-    checkpoints.append(("M", len(c_pool)))
-    for i, v in enumerate(c_rank.vertices, start=1):
-        st.assign_pair(0, v, last + i)
-    labeling = st.finish()
-
+    ranked: list[RankedBlock] = []
+    offsets: list[tuple[str, int]] = []
     entries: list[tuple[str, int]] = []
-    for t in (1, 2, 3, *mids):
-        rk = ranked[t]
-        for k, v in enumerate(rk.vertices, start=1):
-            entries.append((f"a{t}_{k}", v))
-    for k in range(1, p - 1):
-        depth = p - k
-        for leg, prefix in enumerate("xyz"):
-            entries.append((f"{prefix}{depth}", leg_vertex(leg, depth)))
-    for i, v in enumerate(c_rank.vertices, start=1):
-        entries.append((f"c{i}", v))
-    entries.append(("v0", 0))
-    chain = _evaluate_chain(inst.composite, labeling, entries)
+    for step in steps:
+        match step:
+            case ("run", edge_ids):
+                last = label_block(st, edge_ids, last)
+            case ("ranked", block, prefix, star):
+                rk = rank_by_partial_sums(star, st.partial_sums, block=block)
+                for fan in zip(*(star[v] for v in rk.vertices)):
+                    last = label_block(st, fan, last)
+                ranked.append(rk)
+                entries += [(f"{prefix}{k}", v) for k, v in enumerate(rk.vertices, start=1)]
+            case ("mark", name):
+                offsets.append((name, last))
+            case ("mark", name, value):
+                offsets.append((name, value))
+            case ("link", name, vertex):
+                entries.append((name, vertex))
+    labeling = st.finish()
+    sums = st.partial_sums  # complete now: every edge carries its label
+    chain = tuple(
+        ChainCheck(
+            name=f"w({left_name})<w({right_name})",
+            left=left,
+            right=right,
+            left_sum=sums[left],
+            right_sum=sums[right],
+        )
+        for (left_name, left), (right_name, right) in zip(entries, entries[1:])
+    )
     return LabelingRun(
         labeling=labeling,
-        ranked_blocks=tuple(ranked[t] for t in sorted(ranked)) + (c_rank,),
+        ranked_blocks=tuple(ranked),
         chain=chain,
-        offsets=tuple(checkpoints),
+        offsets=tuple(offsets),
     )
 
 
@@ -396,58 +331,23 @@ def universal_vertex_labeling(g: Graph, hub: int) -> Labeling:
 
 
 def _universal_run(g: Graph, hub: int) -> tuple[Labeling, RankedBlock]:
-    others = [v for v in range(g.vertex_count) if v != hub]
-    adjacent = set()
-    for u, v in g.edges:
-        if u == hub:
-            adjacent.add(v)
-        elif v == hub:
-            adjacent.add(u)
-    if set(others) - adjacent:
+    star = {u + v - hub: i for i, (u, v) in enumerate(g.edges) if hub in (u, v)}
+    if star.keys() != set(range(g.vertex_count)) - {hub}:
         raise NotUniversal(f"vertex {hub} is not adjacent to every other vertex")
     st = LabelState(g)
     non_hub_edges = [i for i, (u, v) in enumerate(g.edges) if hub not in (u, v)]
     nxt = label_block(st, non_hub_edges, 0)
-    rk = rank_by_partial_sums(others, st.partial_sums_map())
-    for i, v in enumerate(rk.vertices, start=1):
-        st.assign_pair(hub, v, nxt + i)
+    rk = rank_by_partial_sums(star, st.partial_sums)
+    label_block(st, [star[v] for v in rk.vertices], nxt)
     labeling = st.finish()
-    sums = _vertex_sums(g, labeling)
-    if len(set(sums)) != g.vertex_count:
+    if len(set(st.partial_sums)) != g.vertex_count:
         raise ConstructionFailed("hub construction produced duplicate sums")
     return labeling, rk
 
 
 def _require_conditions(inst: CoronaInstance, force: bool) -> None:
+    if force:
+        return
     report = check_conditions(inst)
-    if not report.overall and not force:
+    if not report.overall:
         raise ConditionsNotMet(report.failed_ids)
-
-
-def _vertex_sums(g: Graph, labeling: Labeling) -> list[int]:
-    sums = [0] * g.vertex_count
-    for edge_id, (u, v) in enumerate(g.edges):
-        label = labeling.labels[edge_id]
-        sums[u] += label
-        sums[v] += label
-    return sums
-
-
-def _evaluate_chain(
-    g: Graph,
-    labeling: Labeling,
-    entries: Sequence[tuple[str, int]],
-) -> tuple[ChainCheck, ...]:
-    sums = _vertex_sums(g, labeling)
-    checks = []
-    for (left_name, left), (right_name, right) in zip(entries, entries[1:]):
-        checks.append(
-            ChainCheck(
-                name=f"w({left_name})<w({right_name})",
-                left=left,
-                right=right,
-                left_sum=sums[left],
-                right_sum=sums[right],
-            )
-        )
-    return tuple(checks)

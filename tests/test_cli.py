@@ -230,3 +230,36 @@ def test_missing_file_is_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "build", str(tmp_path / "nope.json"))
     assert code == 65
     assert err
+
+
+def _spider_p2_spec(tmp_path, **changes):
+    spec = json.loads((FIXTURES / "spider_p2.json").read_text())
+    spec.update(changes)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+def test_options_not_an_object_is_input_error(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "label", str(_spider_p2_spec(tmp_path, options=[])))
+    assert code == 65
+    assert err.count("\n") == 1 and "options" in err
+
+
+def test_non_integer_param_is_input_error(capsys, tmp_path):
+    spec = _spider_p2_spec(tmp_path, base={"type": "spider", "param": "x"})
+    code, _, err = run_cli(capsys, "label", str(spec))
+    assert code == 65
+    assert err.count("\n") == 1 and "param" in err
+
+
+def test_verify_edge_listed_twice_exit_four(capsys, tmp_path):
+    p4 = tmp_path / "p4.json"
+    p4.write_text(json.dumps({"kind": "P", "params": [4]}))
+    lab = tmp_path / "lab.json"
+    entries = [(0, 1, 99), (0, 1, 1), (1, 2, 3), (2, 3, 2)]
+    lab.write_text(json.dumps({"edges": [{"u": u, "v": v, "label": x} for u, v, x in entries]}))
+    code, out, err = run_cli(capsys, "verify", str(p4), str(lab))
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "twice" in err

@@ -139,3 +139,12 @@ def test_mixed_attachment_shapes_size_identity():
     q = sum(g.edge_count for g in attachments)
     assert inst.composite.vertex_count == 4 + n
     assert inst.composite.edge_count == 4 + q + 2 * n
+
+
+def test_cross_fans_follow_block_layout(pan_r5):
+    roles = pan_r5.edge_roles
+    for blk in pan_r5.blocks:
+        for side, endpoint in enumerate(blk.endpoints):
+            fan = [roles[e] for e in blk.cross_fan(side)]
+            n = blk.graph.vertex_count
+            assert fan == [CrossEdgeRole(blk.index, endpoint, j) for j in range(1, n + 1)]

@@ -140,3 +140,16 @@ def test_wrong_base_type():
     inst = build_type2(1, [K(2)] * 3)
     with pytest.raises(WrongBaseType):
         run_type1(inst)
+
+
+@pytest.mark.parametrize("force, calls", [(True, 0), (False, 1)])
+def test_condition_check_runs_only_when_not_forced(monkeypatch, pan_r5, force, calls):
+    import antimagic.labeling as labeling_module
+
+    seen = []
+    real = labeling_module.check_conditions
+    monkeypatch.setattr(
+        labeling_module, "check_conditions", lambda inst: seen.append(inst) or real(inst)
+    )
+    run_type1(pan_r5, force=force)
+    assert len(seen) == calls
