@@ -198,6 +198,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    if args.random and args.budget <= 0:
+        raise aio.SpecError(f"--budget must be positive, got {args.budget}")
     g = aio.graph_from_json(_read_json(args.graph))
     if args.exhaustive:
         outcome = brute_force_search(g, limit=args.limit)

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, is_connected, make_graph, preset_graph
+# make_graph is not called here; bench/run.py traces it as corona.make_graph.
+from .graphs import Graph, is_connected, make_graph, preset_graph  # noqa: F401
 
 
 class CoronaError(ValueError):
@@ -204,12 +205,17 @@ def _assemble(
         )
         next_vertex += h.vertex_count
 
-    composite = make_graph(next_vertex, edges, names)
+    # The parts are validated graphs and every edge above is (min, max), so
+    # the composite needs no second pass through make_graph.
     total_orders = sum(g.vertex_count for g in attachments)
     total_internal = sum(g.edge_count for g in attachments)
-    assert composite.vertex_count == base.vertex_count + total_orders
-    assert composite.edge_count == base.edge_count + total_internal + 2 * total_orders
-    assert len(roles) == composite.edge_count
+    if len(names) != next_vertex or next_vertex != base.vertex_count + total_orders:
+        raise CoronaError(f"composite has {next_vertex} vertices, expected |V(G)| + sum |V(H_i)|")
+    if len(edges) != base.edge_count + total_internal + 2 * total_orders:
+        raise CoronaError(f"composite has {len(edges)} edges, expected |E(G)| + sum (|E(H_i)| + 2|V(H_i)|)")
+    if len(roles) != len(edges):
+        raise CoronaError(f"{len(roles)} edge roles for {len(edges)} edges")
+    composite = Graph(next_vertex, tuple(edges), tuple(names))
     return CoronaInstance(
         base=spec,
         base_graph=base,

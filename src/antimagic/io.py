@@ -1,7 +1,9 @@
 """JSON, CSV, and DOT serialization for graphs, instances, and labelings.
 
-JSON output is canonical: UTF-8, sorted keys, two-space indent, trailing
-newline. Exporting and re-importing a graph or labeling is lossless.
+JSON output is canonical: for every JSON value, `canonical_dumps` returns
+exactly `json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`
+followed by one newline, written as UTF-8. Exporting and re-importing a
+graph or labeling is lossless.
 """
 
 from __future__ import annotations
@@ -9,7 +11,10 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-from typing import Any, Mapping, Sequence
+from itertools import chain, repeat
+from json.encoder import encode_basestring
+from operator import itemgetter
+from typing import Any, Iterator, Mapping, Sequence
 
 from .corona import (
     BaseEdgeRole,
@@ -39,7 +44,92 @@ class SpecError(ValueError):
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)` plus a
+    newline, byte for byte.
+
+    `indent` sends `json` to its pure-Python encoder, so this renders the
+    bulk shapes itself, column by column with C-level `map` and `%`: lists
+    and dict values of one scalar type, and lists of flat rows of one shape
+    (the labeling edges, the report chain, the composite's edge pairs).
+    Everything else goes through `json.dumps`.
+    """
+    try:
+        return _encode(obj, 0) + "\n"
+    except RecursionError:  # circular or very deep: let json decide
+        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+_INDENT = "  "
+# Renderers for the exact scalar types; bool is not an int here.
+_SCALARS: dict[type, Any] = {
+    int: int.__repr__,
+    str: encode_basestring,
+    bool: {False: "false", True: "true"}.__getitem__,
+}
+
+
+def _encode(obj: Any, level: int) -> str:
+    kind = type(obj)
+    if kind in _SCALARS:
+        return _SCALARS[kind](obj)
+    inner = "\n" + _INDENT * (level + 1)
+    outer = "\n" + _INDENT * level
+    if kind is dict and set(map(type, obj)) <= {str}:
+        if not obj:
+            return "{}"
+        keys = sorted(obj)
+        values = list(map(obj.__getitem__, keys))
+        body = _column(values) or map(_encode, values, repeat(level + 1))
+        items = map("%s: %s".__mod__, zip(map(encode_basestring, keys), body))
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        body = _column(obj) or _rows(obj, level + 1) or map(_encode, obj, repeat(level + 1))
+        return "[" + inner + ("," + inner).join(body) + outer + "]"
+    # Floats, None, subclasses, non-str keys: JSON text holds no raw
+    # newline, so indenting every line break places the subtree at `level`.
+    text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
+    return text.replace("\n", outer)
+
+
+def _column(values: Sequence[Any]) -> Iterator[str] | None:
+    """The rendered values when all share one scalar type, else None."""
+    kinds = set(map(type, values))
+    render = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    return None if render is None else map(render, values)
+
+
+def _rows(items: Sequence[Any], level: int) -> Iterator[str] | None:
+    """Render rows at `level` with one %-template each when every item is a
+    dict with the same str keys, or every item a list or tuple of the same
+    length, and each column holds one scalar type; else None."""
+    kinds = set(map(type, items))
+    if kinds != {dict} and not kinds <= {list, tuple}:
+        return None
+    widths = set(map(len, items))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    if kinds == {dict}:
+        if set(map(type, items[0])) != {str}:
+            return None
+        keys: Sequence[Any] = sorted(items[0])
+        fields = [encode_basestring(k).replace("%", "%%") + ": %s" for k in keys]
+        brackets = "{}"
+    else:
+        keys = range(widths.pop())
+        fields = ["%s"] * len(keys)
+        brackets = "[]"
+    try:  # equal sizes and the first row's keys make one key set
+        columns = [list(map(itemgetter(k), items)) for k in keys]
+    except KeyError:
+        return None
+    rendered = list(map(_column, columns))
+    if None in rendered:
+        return None
+    inner = "\n" + _INDENT * (level + 1)
+    template = brackets[0] + inner + ("," + inner).join(fields) + "\n" + _INDENT * level + brackets[1]
+    return map(template.__mod__, zip(*rendered))
 
 
 def graph_from_json(obj: Mapping[str, Any]) -> Graph:
@@ -54,8 +144,17 @@ def graph_from_json(obj: Mapping[str, Any]) -> Graph:
             raise SpecError("params must be a list of integers")
         return preset_graph(kind, params)
     if "vertices" in obj and "edges" in obj:
-        edges = [tuple(e) for e in obj["edges"]]
-        return make_graph(int(obj["vertices"]), edges, obj.get("names"))
+        vertices, edges = obj["vertices"], obj["edges"]
+        if isinstance(vertices, bool) or not isinstance(vertices, int):
+            raise SpecError(f"vertices must be an integer, got {vertices!r}")
+        if (
+            not isinstance(edges, list)
+            or not set(map(type, edges)) <= {list}
+            or not set(map(len, edges)) <= {2}
+            or not set(map(type, chain.from_iterable(edges))) <= {int}
+        ):
+            raise SpecError("edges must be a list of [u, v] integer pairs")
+        return make_graph(vertices, edges, obj.get("names"))
     raise SpecError("graph descriptor needs either kind/params or vertices/edges")
 
 
@@ -141,7 +240,10 @@ def labeling_from_json(obj: Mapping[str, Any], g: Graph) -> Labeling:
         raise SpecError("labeling descriptor needs an edges list")
     by_pair: dict[tuple[int, int], int] = {}
     for entry in obj["edges"]:
-        u, v, label = int(entry["u"]), int(entry["v"]), int(entry["label"])
+        try:
+            u, v, label = int(entry["u"]), int(entry["v"]), int(entry["label"])
+        except (TypeError, ValueError, OverflowError):
+            raise NotABijection(f"labeling entry {entry!r} needs integer u, v and label") from None
         pair = (min(u, v), max(u, v))
         if pair in by_pair:
             raise NotABijection(f"labeling lists edge {pair} twice")

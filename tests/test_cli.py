@@ -263,3 +263,50 @@ def test_verify_edge_listed_twice_exit_four(capsys, tmp_path):
     assert code == 4
     assert out == ""
     assert err.count("\n") == 1 and "twice" in err
+
+
+def test_verify_non_integer_label_exit_four(capsys, tmp_path):
+    p3 = tmp_path / "p3.json"
+    p3.write_text(json.dumps({"kind": "P", "params": [3]}))
+    lab = tmp_path / "lab.json"
+    lab.write_text(json.dumps({"edges": [{"u": 0, "v": 1, "label": "x"}, {"u": 1, "v": 2, "label": 1}]}))
+    code, out, err = run_cli(capsys, "verify", str(p3), str(lab))
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "integer" in err
+
+
+def test_verify_non_integer_csv_label_exit_four(capsys, tmp_path):
+    p3 = tmp_path / "p3.json"
+    p3.write_text(json.dumps({"kind": "P", "params": [3]}))
+    lab = tmp_path / "lab.csv"
+    lab.write_text("edge_u,edge_v,label\n0,1,x\n1,2,1\n")
+    code, out, err = run_cli(capsys, "verify", str(p3), str(lab))
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "integer" in err
+
+
+def test_graph_edge_triple_is_input_error(capsys, tmp_path):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"vertices": 3, "edges": [[0, 1, 2]]}))
+    code, _, err = run_cli(capsys, "export", str(g))
+    assert code == 65
+    assert err.count("\n") == 1 and "edges" in err
+
+
+def test_graph_non_integer_vertices_is_input_error(capsys, tmp_path):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"vertices": "abc", "edges": [[0, 1]]}))
+    code, _, err = run_cli(capsys, "verify", str(g), str(tmp_path / "unread.json"))
+    assert code == 65
+    assert err.count("\n") == 1 and "vertices" in err
+
+
+def test_search_negative_budget_is_input_error(capsys, tmp_path):
+    p3 = tmp_path / "p3.json"
+    p3.write_text(json.dumps({"kind": "P", "params": [3]}))
+    code, out, err = run_cli(capsys, "search", str(p3), "--random", "--budget", "-1")
+    assert code == 65
+    assert out == ""
+    assert err.count("\n") == 1 and "budget" in err

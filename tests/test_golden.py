@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +61,19 @@ def test_cli_stdout_matches_golden(capsys, argv, name, code):
     assert main([command, str(FIXTURES / fixture), *rest]) == code
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+def test_cli_under_optimize_flag_matches_golden():
+    # python -O strips assert statements; the output must not depend on them.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "antimagic.cli", "label", str(FIXTURES / "spider_p4.json")],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / "label_spider_p4.out").read_bytes()
 
 
 def golden_instances():

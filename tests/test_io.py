@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from antimagic import io as aio
+from antimagic import build_type2, io as aio
 from antimagic import preset_graph, run_type2, vertex_sums
 
 
@@ -138,3 +141,87 @@ def test_sum_report_json_names(spider_p2):
     obj = aio.sum_report_to_json(spider_p2.composite, report)
     assert obj["vertex_sums"]["w(v0)"] == 960
     assert obj["is_antimagic"] is True
+
+
+def reference_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+TEXT = st.text() | st.sampled_from(["%", "%s", "%%d", '"', 'a"%b', "\\", "\n", "\u00e9\u2603", "\ud800"])
+INTS = st.integers() | st.integers(-(2**300), 2**300)
+SCALARS = st.none() | st.booleans() | INTS | st.floats() | TEXT
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(TEXT, children, max_size=5)
+    | st.dictionaries(TEXT, children, max_size=3).map(OrderedDict)
+    | st.dictionaries(st.integers(), children, max_size=3),
+    max_leaves=30,
+)
+COLUMNS = st.sampled_from([INTS, TEXT, st.booleans()])
+
+
+@st.composite
+def flat_rows(draw):
+    """Same-keyed flat dicts with one scalar type per column, or
+    equal-length int rows; sometimes with one odd row."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+        columns = {k: draw(COLUMNS) for k in keys}
+        rows = [{k: draw(col) for k, col in columns.items()} for _ in range(n)]
+    else:
+        width = draw(st.integers(1, 3))
+        rows = [draw(st.lists(INTS, min_size=width, max_size=width)) for _ in range(n)]
+    if draw(st.booleans()):
+        odd = draw(JSON_VALUES)
+        first = rows[0]
+        if isinstance(first, dict):
+            key = draw(st.sampled_from(sorted(first)))
+            retyped = {**first, key: odd}
+            renamed = {k + "'" if k == key else k: v for k, v in first.items()}
+        else:
+            retyped = first[:-1] + [odd]
+            renamed = first + [0]
+        rows.insert(draw(st.integers(0, n)), draw(st.sampled_from([odd, retyped, renamed])))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_canonical_dumps_matches_json_on_any_value(obj):
+    assert aio.canonical_dumps(obj) == reference_dumps(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@example([[1, 2], [3, 4, 5]])
+@example([[], []])
+@example([{"a": 1}, {"b": 2}])
+@example([{"%s": True, "b": "%d"}, {"%s": False, "b": "%"}])
+@example([{"u": 1, "v": 2}, {"u": 3, "v": 4.0}])
+@given(flat_rows() | st.dictionaries(TEXT, INTS) | st.lists(INTS) | st.lists(TEXT) | st.lists(st.booleans()))
+def test_canonical_dumps_matches_json_on_bulk_shapes(obj):
+    nested = {"rows": obj, "deeper": [{"x": obj}]}
+    assert aio.canonical_dumps(obj) == reference_dumps(obj)
+    assert aio.canonical_dumps(nested) == reference_dumps(nested)
+
+
+def test_canonical_dumps_matches_json_on_cli_documents():
+    inst = build_type2(4, [preset_graph("complete", [2])] * 9 + [preset_graph("complete", [40])] * 3)
+    run = run_type2(inst)
+    report = vertex_sums(inst.composite, run.labeling, chain=[(c.name, c.left, c.right) for c in run.chain])
+    assert report.chain
+    for doc in (
+        aio.labeling_to_json(inst.composite, run.labeling, inst.edge_roles, report.sums),
+        aio.sum_report_to_json(inst.composite, report),
+        aio.graph_to_json(inst.composite),
+    ):
+        assert aio.canonical_dumps(doc) == reference_dumps(doc)
+
+
+def test_canonical_dumps_reports_a_circular_reference_like_json():
+    loop: list = []
+    loop.append({"self": loop})
+    with pytest.raises(ValueError, match="Circular reference"):
+        aio.canonical_dumps(loop)

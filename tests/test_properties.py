@@ -167,3 +167,17 @@ def test_equal_attachments_force_partial_sum_ties_without_collisions():
         block_sums = [report.sums[v] for v in rk.vertices]
         assert len(set(block_sums)) == len(block_sums)
     assert saw_tie
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["pan", "spider"]), st.data())
+def test_composite_passes_make_graph_unchanged(kind, data):
+    # The composite is built without make_graph; it must be what make_graph
+    # would have built from its own parts.
+    if kind == "pan":
+        r = data.draw(st.integers(3, 6))
+        c = build_type1(r, [data.draw(connected_graphs(max_vertices=5)) for _ in range(r + 1)]).composite
+    else:
+        p = data.draw(st.integers(1, 3))
+        c = build_type2(p, [data.draw(connected_graphs(max_vertices=4)) for _ in range(3 * p)]).composite
+    assert make_graph(c.vertex_count, c.edges, c.names) == c
