@@ -7,11 +7,8 @@ verifier and a brute-force oracle.
 
 from .conditions import Condition, ConditionReport, check_conditions
 from .corona import (
-    BaseEdgeRole,
     Block,
     CoronaInstance,
-    CrossEdgeRole,
-    InternalEdgeRole,
     PanType1,
     SpiderType2,
     build_type1,
@@ -34,8 +31,6 @@ from .labeling import (
     LabelState,
     RankedBlock,
     label_block,
-    label_type1,
-    label_type2,
     rank_by_partial_sums,
     run_type1,
     run_type2,
@@ -52,16 +47,13 @@ from .verify import (
 )
 
 __all__ = [
-    "BaseEdgeRole",
     "Block",
     "ChainCheck",
     "Condition",
     "ConditionReport",
     "CoronaInstance",
-    "CrossEdgeRole",
     "DegreeProfile",
     "Graph",
-    "InternalEdgeRole",
     "LabelState",
     "Labeling",
     "LabelingRun",
@@ -79,8 +71,6 @@ __all__ = [
     "incident_edges",
     "is_connected",
     "label_block",
-    "label_type1",
-    "label_type2",
     "make_graph",
     "normalize_attachments",
     "partial_vertex_sum",

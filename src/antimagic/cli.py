@@ -115,14 +115,17 @@ def _emit(text: str, out: Path | None) -> None:
 def _cmd_build(args: argparse.Namespace) -> int:
     inst, _ = aio.instance_from_json(_read_json(args.spec))
     profile = degree_profile(inst.composite)
-    roles = [aio.role_to_str(r).split(":")[0] for r in inst.edge_roles]
     summary = {
         "kind": inst.kind,
         "vertices": inst.composite.vertex_count,
         "edges": inst.composite.edge_count,
         "max_degree": profile.max_degree,
         "min_degree": profile.min_degree,
-        "roles": {name: roles.count(name) for name in ("base", "internal", "cross")},
+        "roles": {
+            "base": inst.base_graph.edge_count,
+            "internal": sum(inst.attachment_edge_counts),
+            "cross": 2 * sum(inst.attachment_orders),
+        },
         "blocks": [
             {"index": b.index, "vertices": b.graph.vertex_count, "edges": b.graph.edge_count}
             for b in inst.blocks

@@ -1,13 +1,17 @@
 """Generalized edge corona construction over pan and spider bases.
 
 The composite joins both endpoints of base edge i to every vertex of the
-attachment placed on that edge. Every edge of the composite carries a role
-tag (base, internal to a block, or cross edge).
+attachment placed on that edge. Its edges are laid out in contiguous id
+ranges: the base edges first, then per block its internal edges and the
+cross fans from its lower and its upper base endpoint. This layout is the
+only record of an edge's role (base, internal to a block, or cross edge);
+`CoronaInstance.edge_roles` spells it out as strings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 # make_graph is not called here; bench/run.py traces it as corona.make_graph.
@@ -52,26 +56,6 @@ BaseSpec = PanType1 | SpiderType2
 
 
 @dataclass(frozen=True)
-class BaseEdgeRole:
-    index: int
-
-
-@dataclass(frozen=True)
-class InternalEdgeRole:
-    block: int
-
-
-@dataclass(frozen=True)
-class CrossEdgeRole:
-    block: int
-    base_vertex: int
-    attachment_index: int  # 1-based position of the attachment vertex in its block
-
-
-EdgeRole = BaseEdgeRole | InternalEdgeRole | CrossEdgeRole
-
-
-@dataclass(frozen=True)
 class Block:
     """One attachment embedded in the composite."""
 
@@ -98,7 +82,6 @@ class CoronaInstance:
     base_graph: Graph
     attachments: tuple[Graph, ...]
     composite: Graph
-    edge_roles: tuple[EdgeRole, ...]
     blocks: tuple[Block, ...]
 
     @property
@@ -118,6 +101,20 @@ class CoronaInstance:
     def attachment_edge_counts(self) -> tuple[int, ...]:
         """|E(H_i)| per block, in block order (q_i / h_i)."""
         return tuple(g.edge_count for g in self.attachments)
+
+    @property
+    def edge_roles(self) -> list[str]:
+        """The role of each composite edge, in edge order: "base:k" for base
+        edge k, "internal:b" for an edge inside block b, and "cross:b:x:j"
+        for the edge from base vertex x to the j-th (1-based) vertex of
+        block b."""
+        roles = [f"base:{k}" for k in range(self.base_graph.edge_count)]
+        for blk in self.blocks:
+            roles += repeat(f"internal:{blk.index}", len(blk.edge_ids))
+            for side, endpoint in enumerate(blk.endpoints):
+                fan = range(1, len(blk.cross_fan(side)) + 1)
+                roles += [f"cross:{blk.index}:{endpoint}:{j}" for j in fan]
+        return roles
 
 
 def normalize_attachments(attachments: Sequence[Graph]) -> tuple[Graph, ...]:
@@ -171,11 +168,7 @@ def _assemble(
     first_block: int,
 ) -> CoronaInstance:
     names = list(base.names or (str(i) for i in range(base.vertex_count)))
-    edges: list[tuple[int, int]] = []
-    roles: list[EdgeRole] = []
-    for k, (u, v) in enumerate(base.edges):
-        edges.append((u, v))
-        roles.append(BaseEdgeRole(k))
+    edges = list(base.edges)
 
     blocks: list[Block] = []
     next_vertex = base.vertex_count
@@ -184,16 +177,13 @@ def _assemble(
         start = next_vertex
         names += [f"v{block_id}_{j}" for j in range(1, h.vertex_count + 1)]
         # Internal edges, then the cross fans from the lower and the upper
-        # base endpoint, each contiguous; Block.cross_fan relies on this.
+        # base endpoint, each contiguous; Block.cross_fan and
+        # CoronaInstance.edge_roles rely on this.
         first_internal = len(edges)
-        for a, b in h.edges:
-            edges.append((start + a, start + b))
-            roles.append(InternalEdgeRole(block_id))
+        edges += [(start + a, start + b) for a, b in h.edges]
         lo, hi = base.edges[k]
-        for endpoint in (lo, hi):
-            for j in range(h.vertex_count):
-                edges.append((min(endpoint, start + j), max(endpoint, start + j)))
-                roles.append(CrossEdgeRole(block_id, endpoint, j + 1))
+        for endpoint in (lo, hi):  # base vertices precede block vertices
+            edges += [(endpoint, w) for w in range(start, start + h.vertex_count)]
         blocks.append(
             Block(
                 index=block_id,
@@ -213,14 +203,11 @@ def _assemble(
         raise CoronaError(f"composite has {next_vertex} vertices, expected |V(G)| + sum |V(H_i)|")
     if len(edges) != base.edge_count + total_internal + 2 * total_orders:
         raise CoronaError(f"composite has {len(edges)} edges, expected |E(G)| + sum (|E(H_i)| + 2|V(H_i)|)")
-    if len(roles) != len(edges):
-        raise CoronaError(f"{len(roles)} edge roles for {len(edges)} edges")
     composite = Graph(next_vertex, tuple(edges), tuple(names))
     return CoronaInstance(
         base=spec,
         base_graph=base,
         attachments=attachments,
         composite=composite,
-        edge_roles=tuple(roles),
         blocks=tuple(blocks),
     )

@@ -68,6 +68,7 @@ def make_graph(
     """Validate and canonicalize an edge list into a Graph.
 
     Each pair is stored as (min, max); the sequence order is the input order.
+    Names, when given, are distinct strings, one per vertex.
     """
     if vertex_count < 0:
         raise BadParams(f"vertex_count must be non-negative, got {vertex_count}")
@@ -89,6 +90,10 @@ def make_graph(
         name_tuple = tuple(names)
         if len(name_tuple) != vertex_count:
             raise BadParams("names length must equal vertex_count")
+        if not set(map(type, name_tuple)) <= {str}:
+            raise BadParams("names must be strings")
+        if len(set(name_tuple)) != vertex_count:
+            raise BadParams("names must be distinct")
     return Graph(vertex_count, tuple(canonical), name_tuple)
 
 

@@ -3,7 +3,12 @@
 JSON output is canonical: for every JSON value, `canonical_dumps` returns
 exactly `json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`
 followed by one newline, written as UTF-8. Exporting and re-importing a
-graph or labeling is lossless.
+graph or labeling is lossless. A labeling document's edge roles are the
+strings of `CoronaInstance.edge_roles`, written as given.
+
+Readers take JSON values by exact type: integers are `int` and never
+`bool`, flags are `bool`. A malformed descriptor raises `SpecError`; a
+malformed labeling entry raises `NotABijection`.
 """
 
 from __future__ import annotations
@@ -11,21 +16,13 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+from collections import Counter
 from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
 from typing import Any, Iterator, Mapping, Sequence
 
-from .corona import (
-    BaseEdgeRole,
-    CoronaInstance,
-    CrossEdgeRole,
-    EdgeRole,
-    InternalEdgeRole,
-    build_type1,
-    build_type2,
-    normalize_attachments,
-)
+from .corona import CoronaInstance, build_type1, build_type2, normalize_attachments
 from .graphs import Graph, make_graph, preset_graph
 from .labeling import Labeling
 from .verify import NotABijection, SumReport
@@ -154,7 +151,10 @@ def graph_from_json(obj: Mapping[str, Any]) -> Graph:
             or not set(map(type, chain.from_iterable(edges))) <= {int}
         ):
             raise SpecError("edges must be a list of [u, v] integer pairs")
-        return make_graph(vertices, edges, obj.get("names"))
+        names = obj.get("names")
+        if names is not None and not isinstance(names, list):
+            raise SpecError("names must be a list of strings")
+        return make_graph(vertices, edges, names)
     raise SpecError("graph descriptor needs either kind/params or vertices/edges")
 
 
@@ -187,10 +187,10 @@ def instance_from_json(obj: Mapping[str, Any]) -> tuple[CoronaInstance, dict[str
     options_obj = obj.get("options", {})
     if not isinstance(options_obj, Mapping):
         raise SpecError("options must be an object")
-    options = {
-        "force": bool(options_obj.get("force", False)),
-        "normalize": bool(options_obj.get("normalize", False)),
-    }
+    options = {key: options_obj.get(key, False) for key in ("force", "normalize")}
+    for key, value in options.items():
+        if type(value) is not bool:
+            raise SpecError(f"option {key} must be true or false, got {value!r}")
     if options["normalize"]:
         attachments = list(normalize_attachments(attachments))
     base_type = base["type"]
@@ -204,27 +204,19 @@ def instance_from_json(obj: Mapping[str, Any]) -> tuple[CoronaInstance, dict[str
     raise SpecError(f"unknown base type {base_type!r}")
 
 
-def role_to_str(role: EdgeRole) -> str:
-    if isinstance(role, BaseEdgeRole):
-        return f"base:{role.index}"
-    if isinstance(role, InternalEdgeRole):
-        return f"internal:{role.block}"
-    if isinstance(role, CrossEdgeRole):
-        return f"cross:{role.block}:{role.base_vertex}:{role.attachment_index}"
-    raise TypeError(f"unknown role {role!r}")
-
-
 def labeling_to_json(
     g: Graph,
     labeling: Labeling,
-    roles: Sequence[EdgeRole] | None = None,
+    roles: Sequence[str] | None = None,
     sums: Sequence[int] | None = None,
 ) -> dict[str, Any]:
+    """The labeling as {"edges": [{"u", "v", "label"[, "role"]}...][, "sums"]},
+    with `roles` (such as `CoronaInstance.edge_roles`) written as given."""
     edges = []
     for edge_id, (u, v) in enumerate(g.edges):
         entry: dict[str, Any] = {"u": u, "v": v, "label": labeling.labels[edge_id]}
         if roles is not None:
-            entry["role"] = role_to_str(roles[edge_id])
+            entry["role"] = roles[edge_id]
         edges.append(entry)
     out: dict[str, Any] = {"edges": edges}
     if sums is not None:
@@ -234,28 +226,34 @@ def labeling_to_json(
 
 def labeling_from_json(obj: Mapping[str, Any], g: Graph) -> Labeling:
     """Rebuild a labeling for g from an exported edge list, matching by
-    vertex pair. An edge listed twice is rejected; bijectivity of the labels
+    vertex pair. Entries need exact integers (not booleans) for u, v and
+    label, and an edge listed twice is rejected; bijectivity of the labels
     is left to the verifier."""
-    if not isinstance(obj, Mapping) or "edges" not in obj:
+    if not isinstance(obj, Mapping) or not isinstance(obj.get("edges"), list):
         raise SpecError("labeling descriptor needs an edges list")
-    by_pair: dict[tuple[int, int], int] = {}
-    for entry in obj["edges"]:
-        try:
-            u, v, label = int(entry["u"]), int(entry["v"]), int(entry["label"])
-        except (TypeError, ValueError, OverflowError):
-            raise NotABijection(f"labeling entry {entry!r} needs integer u, v and label") from None
-        pair = (min(u, v), max(u, v))
-        if pair in by_pair:
-            raise NotABijection(f"labeling lists edge {pair} twice")
-        by_pair[pair] = label
-    labels = []
-    for u, v in g.edges:
-        if (u, v) not in by_pair:
-            raise SpecError(f"labeling is missing edge ({u}, {v})")
-        labels.append(by_pair[(u, v)])
+    entries = obj["edges"]
+    if not set(map(type, entries)) <= {dict}:
+        raise NotABijection("labeling entries must be objects with integer u, v and label")
+    try:
+        columns = [list(map(itemgetter(key), entries)) for key in ("u", "v", "label")]
+    except KeyError as exc:
+        raise NotABijection(f"a labeling entry has no {exc.args[0]!r}") from None
+    if not set(map(type, chain.from_iterable(columns))) <= {int}:
+        bad = next(e for e in entries if {type(e["u"]), type(e["v"]), type(e["label"])} != {int})
+        raise NotABijection(f"labeling entry {bad!r} needs integer u, v and label")
+    us, vs, labels = columns
+    pairs = [(u, v) if u < v else (v, u) for u, v in zip(us, vs)]
+    by_pair = dict(zip(pairs, labels))
+    if len(by_pair) != len(pairs):
+        twice = next(pair for pair, n in Counter(pairs).items() if n > 1)
+        raise NotABijection(f"labeling lists edge {twice} twice")
+    try:
+        ordered = tuple(map(by_pair.__getitem__, g.edges))
+    except KeyError as exc:
+        raise SpecError(f"labeling is missing edge {exc.args[0]}") from None
     if len(by_pair) != g.edge_count:
         raise SpecError("labeling lists edges not present in the graph")
-    return Labeling(tuple(labels), g.edge_count)
+    return Labeling(ordered, g.edge_count)
 
 
 def labeling_to_csv(g: Graph, labeling: Labeling) -> str:
@@ -272,7 +270,13 @@ def labeling_from_csv(text: str, g: Graph) -> Labeling:
     header = next(reader, None)
     if header != ["edge_u", "edge_v", "label"]:
         raise SpecError("csv header must be edge_u,edge_v,label")
-    entries = [{"u": row[0], "v": row[1], "label": row[2]} for row in reader if row]
+    entries = []
+    for row in filter(None, reader):
+        try:
+            u, v, label = map(int, row)
+        except ValueError:
+            raise NotABijection(f"csv row {row!r} needs integer edge_u, edge_v and label") from None
+        entries.append({"u": u, "v": v, "label": label})
     return labeling_from_json({"edges": entries}, g)
 
 

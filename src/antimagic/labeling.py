@@ -161,11 +161,6 @@ def rank_by_partial_sums(
     )
 
 
-def label_type1(inst: CoronaInstance, *, force: bool = False) -> Labeling:
-    """Pan-base construction; see run_type1 for the full run evidence."""
-    return run_type1(inst, force=force).labeling
-
-
 def run_type1(inst: CoronaInstance, *, force: bool = False) -> LabelingRun:
     """Label a pan-base corona.
 
@@ -189,11 +184,6 @@ def run_type1(inst: CoronaInstance, *, force: bool = False) -> LabelingRun:
     steps += [("mark", "b"), ("run", range(1, r + 1))]
     steps += [("link", f"u{j}", j) for j in range(1, r + 1)]
     return _execute(inst, steps)
-
-
-def label_type2(inst: CoronaInstance, *, force: bool = False) -> Labeling:
-    """Spider-base construction; see run_type2 for the full run evidence."""
-    return run_type2(inst, force=force).labeling
 
 
 def run_type2(inst: CoronaInstance, *, force: bool = False) -> LabelingRun:

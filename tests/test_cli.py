@@ -310,3 +310,79 @@ def test_search_negative_budget_is_input_error(capsys, tmp_path):
     assert code == 65
     assert out == ""
     assert err.count("\n") == 1 and "budget" in err
+
+
+def _verify_p3(capsys, tmp_path, labeling, suffix=".json"):
+    """Run `verify` on P3 with a labeling file: the given text, or JSON
+    entries from a list of (u, v, label) triples."""
+    p3 = tmp_path / "p3.json"
+    p3.write_text(json.dumps({"kind": "P", "params": [3]}))
+    if isinstance(labeling, list):
+        labeling = json.dumps({"edges": [{"u": u, "v": v, "label": x} for u, v, x in labeling]})
+    lab = tmp_path / f"lab{suffix}"
+    lab.write_text(labeling)
+    return run_cli(capsys, "verify", str(p3), str(lab))
+
+
+def test_verify_non_integer_fields_exit_four(capsys, tmp_path):
+    for labeling, suffix in (
+        ([(0, 1, 1.2), (1, 2, 2.9)], ".json"),
+        ([(0, 1, True), (1, 2, 2)], ".json"),
+        ([(0, 1, "1"), (1, 2, 2)], ".json"),
+        ([(0, True, 1), (1, 2, 2)], ".json"),
+        ([("0", 1, 1), (1, 2, 2)], ".json"),
+        ([(0.0, 1, 1), (1, 2, 2)], ".json"),
+        ("edge_u,edge_v,label\n0,1\n1,2,2\n", ".csv"),
+    ):
+        code, out, err = _verify_p3(capsys, tmp_path, labeling, suffix)
+        assert code == 4, labeling
+        assert out == ""
+        assert err.count("\n") == 1 and "integer" in err
+
+
+def test_verify_entry_without_v_exit_four(capsys, tmp_path):
+    lab = json.dumps({"edges": [{"u": 0, "label": 1}, {"u": 1, "v": 2, "label": 2}]})
+    code, out, err = _verify_p3(capsys, tmp_path, lab)
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "'v'" in err
+
+
+def test_verify_csv_labels_still_parse(capsys, tmp_path):
+    code, out, _ = _verify_p3(capsys, tmp_path, "edge_u,edge_v,label\n0,1,1\n2,1,2\n", ".csv")
+    assert code == 0
+    assert json.loads(out)["is_antimagic"] is True
+
+
+def test_string_force_option_is_input_error(capsys, tmp_path):
+    spec = json.loads((FIXTURES / "violating.json").read_text())
+    for options in ({"force": "false"}, {"force": 0}, {"normalize": "true"}, {"normalize": None}):
+        spec["options"] = options
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "label", str(path))
+        assert code == 65, options
+        assert out == ""
+        assert err.count("\n") == 1 and "option" in err
+
+
+def test_boolean_force_option_still_forces(capsys, tmp_path):
+    spec = json.loads((FIXTURES / "violating.json").read_text())
+    for force, expected in ((False, 3), (True, 2)):
+        spec["options"] = {"force": force}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, _, _ = run_cli(capsys, "label", str(path))
+        assert code == expected, force
+
+
+def test_verify_repeated_vertex_names_is_input_error(capsys, tmp_path):
+    for names in (["a", "a", "b"], ["a", 1, "b"], "abc"):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"vertices": 3, "edges": [[0, 1], [1, 2]], "names": names}))
+        lab = tmp_path / "lab.json"
+        lab.write_text(json.dumps({"edges": [{"u": 0, "v": 1, "label": 1}, {"u": 1, "v": 2, "label": 2}]}))
+        code, out, err = run_cli(capsys, "verify", str(g), str(lab))
+        assert code == 65, names
+        assert out == ""
+        assert err.count("\n") == 1 and "names" in err

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
+
 import pytest
 
 from antimagic import (
@@ -13,10 +16,7 @@ from antimagic import (
 from antimagic.corona import (
     AttachmentTooSmall,
     BadBaseParam,
-    BaseEdgeRole,
-    CrossEdgeRole,
     DisconnectedAttachment,
-    InternalEdgeRole,
     WrongAttachmentCount,
 )
 from antimagic.graphs import make_graph
@@ -93,14 +93,15 @@ def test_type2_attachment_map(spider_p4):
         assert blk.endpoints == expected[blk.index]
 
 
-def test_role_partition(pan_r5):
-    base = [r for r in pan_r5.edge_roles if isinstance(r, BaseEdgeRole)]
-    internal = [r for r in pan_r5.edge_roles if isinstance(r, InternalEdgeRole)]
-    cross = [r for r in pan_r5.edge_roles if isinstance(r, CrossEdgeRole)]
-    assert len(base) == pan_r5.base_graph.edge_count
-    assert len(internal) == sum(pan_r5.attachment_edge_counts)
-    assert len(cross) == 2 * sum(pan_r5.attachment_orders)
-    assert len(base) + len(internal) + len(cross) == pan_r5.composite.edge_count
+def test_role_partition(pan_r5, spider_p4):
+    for inst in (pan_r5, spider_p4):
+        roles = inst.edge_roles
+        assert len(roles) == inst.composite.edge_count
+        assert Counter(role.split(":")[0] for role in roles) == {
+            "base": inst.base_graph.edge_count,
+            "internal": sum(inst.attachment_edge_counts),
+            "cross": 2 * sum(inst.attachment_orders),
+        }
 
 
 def test_every_attachment_vertex_has_two_cross_edges(pan_r5, spider_p2):
@@ -141,10 +142,19 @@ def test_mixed_attachment_shapes_size_identity():
     assert inst.composite.edge_count == 4 + q + 2 * n
 
 
-def test_cross_fans_follow_block_layout(pan_r5):
-    roles = pan_r5.edge_roles
-    for blk in pan_r5.blocks:
-        for side, endpoint in enumerate(blk.endpoints):
-            fan = [roles[e] for e in blk.cross_fan(side)]
-            n = blk.graph.vertex_count
-            assert fan == [CrossEdgeRole(blk.index, endpoint, j) for j in range(1, n + 1)]
+def test_cross_fans_follow_block_layout(pan_r5, spider_p2):
+    for inst in (pan_r5, spider_p2):
+        edges = inst.composite.edges
+        base_ids = range(inst.base_graph.edge_count)
+        assert [edges[e] for e in base_ids] == list(inst.base_graph.edges)
+        for blk in inst.blocks:
+            start = blk.vertex_start
+            internal = [edges[e] for e in blk.edge_ids]
+            assert internal == [(start + a, start + b) for a, b in blk.graph.edges]
+            for side, endpoint in enumerate(blk.endpoints):
+                fan = [edges[e] for e in blk.cross_fan(side)]
+                assert fan == [(endpoint, w) for w in blk.vertex_ids]
+        ranges = [base_ids] + [
+            r for blk in inst.blocks for r in (blk.edge_ids, blk.cross_fan(0), blk.cross_fan(1))
+        ]
+        assert sorted(chain.from_iterable(ranges)) == list(range(inst.composite.edge_count))

@@ -119,11 +119,25 @@ def test_labeling_from_json_detects_mismatch():
         aio.labeling_from_json({"edges": [{"u": 0, "v": 1, "label": 1}]}, g)
 
 
-def test_role_strings(spider_p2):
-    strings = [aio.role_to_str(r) for r in spider_p2.edge_roles]
-    assert strings[0] == "base:0"
-    assert any(s.startswith("internal:1") for s in strings)
-    assert any(s.startswith("cross:6:") for s in strings)
+def test_role_strings(pan_r5, spider_p2):
+    # Expected roles from the composite's edges alone: an edge inside a
+    # block's vertex range is internal, one with a base endpoint is a cross
+    # edge to the j-th block vertex, and an edge between base vertices is
+    # the base edge with the same id.
+    for inst in (pan_r5, spider_p2):
+        base_vertices = inst.base_graph.vertex_count
+        owner = {v: blk for blk in inst.blocks for v in blk.vertex_ids}
+        expected = []
+        for e, (u, v) in enumerate(inst.composite.edges):
+            if v < base_vertices:
+                expected.append(f"base:{e}")
+            elif u >= base_vertices:
+                expected.append(f"internal:{owner[v].index}")
+            else:
+                blk = owner[v]
+                expected.append(f"cross:{blk.index}:{u}:{v - blk.vertex_start + 1}")
+        assert inst.edge_roles == expected
+    assert spider_p2.edge_roles[0] == "base:0"
 
 
 def test_dot_output(spider_p2):

@@ -8,7 +8,6 @@ from antimagic import (
     build_type1,
     build_type2,
     label_block,
-    label_type1,
     rank_by_partial_sums,
     run_type1,
     vertex_sums,
@@ -121,9 +120,9 @@ def test_pendant_sum_closed_form():
 def test_conditions_gate_and_force():
     inst = build_type1(3, [K(2)] * 4)
     with pytest.raises(ConditionsNotMet) as exc_info:
-        label_type1(inst)
+        run_type1(inst)
     assert "T41-h0h1" in exc_info.value.failed_ids
-    labeling = label_type1(inst, force=True)
+    labeling = run_type1(inst, force=True).labeling
     report = vertex_sums(inst.composite, labeling)
     assert sorted(labeling.labels) == list(range(1, 25))
     assert report.is_antimagic  # all sums distinct even though the gate failed
@@ -131,7 +130,7 @@ def test_conditions_gate_and_force():
 
 def test_condition_satisfying_small_instance():
     inst = build_type1(3, [K(2), C(3), C(3), C(3)])
-    labeling = label_type1(inst)
+    labeling = run_type1(inst).labeling
     assert sorted(labeling.labels) == list(range(1, 37))
     assert vertex_sums(inst.composite, labeling).is_antimagic
 

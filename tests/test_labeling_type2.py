@@ -6,7 +6,6 @@ import pytest
 
 from antimagic import (
     build_type2,
-    label_type2,
     preset_graph,
     run_type2,
     universal_vertex_labeling,
@@ -80,7 +79,7 @@ def test_center_sum_is_the_top_label_run(spider_p2, spider_p4):
         top = run.offset("M")
         assert report.sums[0] == sum(range(m_edges - top + 1, m_edges + 1))
     p1 = build_type2(1, [K(2)] * 3)
-    report = vertex_sums(p1.composite, label_type2(p1))
+    report = vertex_sums(p1.composite, run_type2(p1).labeling)
     hub_degree = 9  # 3 leg edges + 6 cross edges
     m_edges = p1.composite.edge_count
     assert report.sums[0] == sum(range(m_edges - hub_degree + 1, m_edges + 1))
@@ -137,7 +136,7 @@ def test_spider_p4_chain_order(spider_p4):
 
 def test_p1_uses_hub_construction():
     inst = build_type2(1, [K(2)] * 3)
-    labeling = label_type2(inst)
+    labeling = run_type2(inst).labeling
     report = vertex_sums(inst.composite, labeling)
     assert sorted(labeling.labels) == list(range(1, 19))
     assert report.is_antimagic
@@ -146,7 +145,7 @@ def test_p1_uses_hub_construction():
 
 def test_p1_mixed_attachments():
     inst = build_type2(1, [K(2), C(3), K(4)])
-    report = vertex_sums(inst.composite, label_type2(inst))
+    report = vertex_sums(inst.composite, run_type2(inst).labeling)
     assert report.is_antimagic
     assert report.sums[0] == max(report.sums)
 
@@ -192,8 +191,8 @@ def test_universal_post_check_rejects_k2():
 def test_conditions_gate_and_force_spider():
     inst = build_type2(2, [C(3), K(2), K(2), K(2), K(2), K(2)])
     with pytest.raises(ConditionsNotMet):
-        label_type2(inst)
-    labeling = label_type2(inst, force=True)
+        run_type2(inst)
+    labeling = run_type2(inst, force=True).labeling
     assert sorted(labeling.labels) == list(range(1, inst.composite.edge_count + 1))
 
 
