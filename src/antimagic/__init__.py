@@ -28,9 +28,7 @@ from .labeling import (
     ChainCheck,
     Labeling,
     LabelingRun,
-    LabelState,
     RankedBlock,
-    label_block,
     rank_by_partial_sums,
     run_type1,
     run_type2,
@@ -54,7 +52,6 @@ __all__ = [
     "CoronaInstance",
     "DegreeProfile",
     "Graph",
-    "LabelState",
     "Labeling",
     "LabelingRun",
     "PanType1",
@@ -70,7 +67,6 @@ __all__ = [
     "degree_profile",
     "incident_edges",
     "is_connected",
-    "label_block",
     "make_graph",
     "normalize_attachments",
     "partial_vertex_sum",

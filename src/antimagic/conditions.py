@@ -3,18 +3,22 @@
 Each check compares concrete degree or size quantities of a built instance
 and reports a named verdict with its numeric witnesses. Condition ids follow
 the stable T41/T42/T43 naming used by the JSON reports.
+
+Composite degrees are read off the block layout, never by walking the
+composite: a base vertex has its base degree plus the order of each block on
+an incident base edge, and a block vertex has its attachment degree plus 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corona import CoronaInstance, PanType1
 from .graphs import degree_profile
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     id: str
     description: str
     lhs: int
@@ -51,24 +55,35 @@ def check_conditions(inst: CoronaInstance) -> ConditionReport:
     return ConditionReport(tuple(_spider_conditions(inst, inst.base.p)))
 
 
+def _base_degrees(inst: CoronaInstance) -> list[int]:
+    """Composite degree of every base vertex: each incident base edge adds
+    its other endpoint and the vertices of the block on it."""
+    degrees = [0] * inst.base_graph.vertex_count
+    for blk in inst.blocks:
+        lo, hi = blk.endpoints
+        degrees[lo] += blk.graph.vertex_count + 1
+        degrees[hi] += blk.graph.vertex_count + 1
+    return degrees
+
+
 def _pan_conditions(inst: CoronaInstance, r: int) -> list[Condition]:
-    comp_deg = degree_profile(inst.composite).degrees
+    comp_deg = _base_degrees(inst)
     h0, h1 = (degree_profile(inst.block(i).graph) for i in (0, 1))
     return [
         *_size_chain(inst, "T41-size-{}", range(r)),
         Condition(
-            id="T41-h0h1",
-            description="max deg H0 < min deg H1",
-            lhs=h0.max_degree,
-            rhs=h1.min_degree,
-            holds=h0.max_degree < h1.min_degree,
+            "T41-h0h1",
+            "max deg H0 < min deg H1",
+            h0.max_degree,
+            h1.min_degree,
+            h0.max_degree < h1.min_degree,
         ),
         *_degree_chain(inst, "T41-chain-{}", range(1, r)),
         *(_tip_link(inst, comp_deg, f"T41-star-{i}", "u0", 0, i) for i in range(r + 1)),
         _cond(
             "T41-cap",
             f"max composite deg over H{r} <= composite deg u1",
-            max(comp_deg[v] for v in inst.block(r).vertex_ids),
+            degree_profile(inst.block(r).graph).max_degree + 2,
             comp_deg[1],
         ),
     ]
@@ -76,7 +91,7 @@ def _pan_conditions(inst: CoronaInstance, r: int) -> list[Condition]:
 
 def _spider_conditions(inst: CoronaInstance, p: int) -> list[Condition]:
     """T42 for p = 2, T43 for p >= 3."""
-    comp_deg = degree_profile(inst.composite).degrees
+    comp_deg = _base_degrees(inst)
     general = p > 2
     # The leg tips x_p, y_p, z_p sit at ids p, 2p, 3p.
     tip_id = "T43-ii-{}" if general else "T42-deg-{}2"
@@ -95,7 +110,7 @@ def _spider_conditions(inst: CoronaInstance, p: int) -> list[Condition]:
             _cond(
                 "T43-iii",
                 f"max composite deg over H{3 * p - 3} <= |V(H4)| + 1",
-                max(comp_deg[v] for v in inst.block(3 * p - 3).vertex_ids),
+                degree_profile(inst.block(3 * p - 3).graph).max_degree + 2,
                 inst.block(4).graph.vertex_count + 1,
             ),
             _tip_link(inst, comp_deg, "T43-iv", "z2", 2 * p + 2, 3 * p - 2),
@@ -128,7 +143,7 @@ def _degree_chain(inst: CoronaInstance, id_format: str, blocks: range) -> list[C
 
 def _tip_link(
     inst: CoronaInstance,
-    comp_deg: tuple[int, ...],
+    comp_deg: list[int],
     cond_id: str,
     vertex_name: str,
     vertex: int,
@@ -140,9 +155,9 @@ def _tip_link(
         cond_id,
         f"composite deg {vertex_name} <= min composite deg over H{block}",
         comp_deg[vertex],
-        min(comp_deg[v] for v in inst.block(block).vertex_ids),
+        degree_profile(inst.block(block).graph).min_degree + 2,
     )
 
 
 def _cond(cond_id: str, description: str, lhs: int, rhs: int) -> Condition:
-    return Condition(id=cond_id, description=description, lhs=lhs, rhs=rhs, holds=lhs <= rhs)
+    return Condition(cond_id, description, lhs, rhs, lhs <= rhs)

@@ -7,7 +7,7 @@ contract, not an implementation detail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 
@@ -31,17 +31,23 @@ class BadParams(GraphError):
     """Preset parameters are out of range for the requested family."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph with a fixed edge order.
 
     Edges are stored canonically as (u, v) with u < v. ``names`` is an
-    optional per-vertex display name used in reports.
+    optional per-vertex display name used in reports. degree_profile and
+    is_connected compute their result once per graph and keep it in a
+    private slot, which takes no part in equality, hashing or repr.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     names: tuple[str, ...] | None = None
+    _degree_profile: DegreeProfile | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _connected: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def edge_count(self) -> int:
@@ -53,7 +59,7 @@ class Graph:
         return str(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegreeProfile:
     degrees: tuple[int, ...]
     max_degree: int
@@ -98,15 +104,19 @@ def make_graph(
 
 
 def degree_profile(g: Graph) -> DegreeProfile:
-    degrees = [0] * g.vertex_count
-    for u, v in g.edges:
-        degrees[u] += 1
-        degrees[v] += 1
-    return DegreeProfile(
-        degrees=tuple(degrees),
-        max_degree=max(degrees, default=0),
-        min_degree=min(degrees, default=0),
-    )
+    """Degrees of g, computed on the first call and kept on g."""
+    if g._degree_profile is None:
+        degrees = [0] * g.vertex_count
+        for u, v in g.edges:
+            degrees[u] += 1
+            degrees[v] += 1
+        profile = DegreeProfile(
+            degrees=tuple(degrees),
+            max_degree=max(degrees, default=0),
+            min_degree=min(degrees, default=0),
+        )
+        object.__setattr__(g, "_degree_profile", profile)
+    return g._degree_profile
 
 
 def incident_edges(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -119,21 +129,22 @@ def incident_edges(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.vertex_count <= 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.vertex_count
+    """Whether g is connected, computed on the first call and kept on g."""
+    if g._connected is None:
+        adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
+        for u, v in g.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        seen = set(range(min(g.vertex_count, 1)))  # search from vertex 0, if any
+        stack = list(seen)
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        object.__setattr__(g, "_connected", len(seen) == g.vertex_count)
+    return g._connected
 
 
 PRESET_KINDS = (

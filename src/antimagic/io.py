@@ -288,7 +288,8 @@ def to_dot(
     """Graphviz output with edge labels and per-vertex sums when given."""
     lines = ["graph antimagic {"]
     for v in range(g.vertex_count):
-        label = g.name_of(v)
+        # Inside a quoted DOT string, backslash and double quote are escaped.
+        label = g.name_of(v).replace("\\", "\\\\").replace('"', '\\"')
         if sums is not None:
             label += f"\\nw={sums[v]}"
         lines.append(f'  {v} [label="{label}"];')

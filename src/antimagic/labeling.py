@@ -1,10 +1,12 @@
 """Constructive antimagic labelings for pan-base and spider-base coronas.
 
-Each construction is a schedule: a list of steps that hand out the label
-range {1..|E|} in contiguous runs, either to edges in layout order or to the
-edges joining a fan centre to vertices ranked on their partial sums. Under
-the checked hypotheses every vertex sum lands in a strictly increasing
-chain, which is what makes the result antimagic.
+Each construction is a schedule, a list of steps that together give the
+label order: the edge ids in the order they receive the labels 1..|E|. A
+step appends either edges in layout order or the edges joining a fan centre
+to vertices ranked on their partial sums. The partial sums are settled just
+before each ranking, and once at the end. Under the checked hypotheses every
+vertex sum lands in a strictly increasing chain, which is what makes the
+result antimagic.
 
 Pan base (run_type1): the pendant star and every block's internal edges,
 to checkpoint c; the ranked cross fans, to b; the rim edges.
@@ -20,7 +22,7 @@ construction of universal_vertex_labeling applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .conditions import check_conditions
 from .corona import Block, CoronaInstance, PanType1, SpiderType2
@@ -29,10 +31,6 @@ from .graphs import Graph, spider_leg_vertex
 
 class LabelingError(ValueError):
     """Invalid labeling operation."""
-
-
-class AlreadyLabeled(LabelingError):
-    """An edge or a label was used twice."""
 
 
 class ConditionsNotMet(LabelingError):
@@ -65,8 +63,7 @@ class Labeling:
     total_edges: int
 
 
-@dataclass(frozen=True)
-class RankedBlock:
+class RankedBlock(NamedTuple):
     """A block's vertices ordered by partial sum at ranking time, ties by id."""
 
     block: int
@@ -74,8 +71,7 @@ class RankedBlock:
     partial_sums: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ChainCheck:
+class ChainCheck(NamedTuple):
     """One named inequality of a construction's sum chain."""
 
     name: str
@@ -106,47 +102,6 @@ class LabelingRun:
         return dict(self.offsets)[name]
 
 
-class LabelState:
-    """Mutable label assignment while a construction runs.
-
-    Tracks per-vertex partial sums in ``partial_sums`` so ranking can read
-    them directly.
-    """
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self.labels: list[int | None] = [None] * graph.edge_count
-        self._used: set[int] = set()
-        self.partial_sums = [0] * graph.vertex_count
-
-    def assign(self, edge_id: int, label: int) -> None:
-        if self.labels[edge_id] is not None:
-            raise AlreadyLabeled(f"edge {edge_id} already labeled")
-        if label in self._used:
-            raise AlreadyLabeled(f"label {label} already used")
-        if not (1 <= label <= self.graph.edge_count):
-            raise LabelingError(f"label {label} outside 1..{self.graph.edge_count}")
-        self.labels[edge_id] = label
-        self._used.add(label)
-        u, v = self.graph.edges[edge_id]
-        self.partial_sums[u] += label
-        self.partial_sums[v] += label
-
-    def finish(self) -> Labeling:
-        if any(lab is None for lab in self.labels):
-            missing = [i for i, lab in enumerate(self.labels) if lab is None]
-            raise LabelingError(f"unlabeled edges remain: {missing[:5]}...")
-        return Labeling(tuple(self.labels), self.graph.edge_count)
-
-
-def label_block(state: LabelState, edge_ids: Sequence[int], start: int) -> int:
-    """Give the edges the consecutive labels start+1..start+len; return the
-    last label used."""
-    for j, edge_id in enumerate(edge_ids, start=1):
-        state.assign(edge_id, start + j)
-    return start + len(edge_ids)
-
-
 def rank_by_partial_sums(
     vertices: Iterable[int],
     partial_sums: Mapping[int, int] | Sequence[int],
@@ -154,11 +109,7 @@ def rank_by_partial_sums(
 ) -> RankedBlock:
     """Order vertices by partial sum, non-decreasing; ties by ascending id."""
     ordered = sorted(vertices, key=lambda v: (partial_sums[v], v))
-    return RankedBlock(
-        block=block,
-        vertices=tuple(ordered),
-        partial_sums=tuple(partial_sums[v] for v in ordered),
-    )
+    return RankedBlock(block, tuple(ordered), tuple(partial_sums[v] for v in ordered))
 
 
 def run_type1(inst: CoronaInstance, *, force: bool = False) -> LabelingRun:
@@ -183,7 +134,7 @@ def run_type1(inst: CoronaInstance, *, force: bool = False) -> LabelingRun:
     steps += [_ranked(blk, blk.cross_fan(0), blk.cross_fan(1)) for blk in inst.blocks[1:]]
     steps += [("mark", "b"), ("run", range(1, r + 1))]
     steps += [("link", f"u{j}", j) for j in range(1, r + 1)]
-    return _execute(inst, steps)
+    return _execute(inst.composite, steps)[0]
 
 
 def run_type2(inst: CoronaInstance, *, force: bool = False) -> LabelingRun:
@@ -208,13 +159,7 @@ def run_type2(inst: CoronaInstance, *, force: bool = False) -> LabelingRun:
     _require_conditions(inst, force)
     p = inst.base.p
     if p == 1:
-        labeling, hub_rank = _universal_run(inst.composite, hub=0)
-        return LabelingRun(
-            labeling=labeling,
-            ranked_blocks=(hub_rank,),
-            chain=(),
-            offsets=(),
-        )
+        return _universal_run(inst.composite, hub=0)
 
     # Block t sits on base edge t - 1, whose upper endpoint lies farther
     # from the center.
@@ -241,7 +186,7 @@ def run_type2(inst: CoronaInstance, *, force: bool = False) -> LabelingRun:
     for blk in centers:
         star.update(zip(blk.vertex_ids, zip(blk.cross_fan(0))))
     steps += [("mark", "M", len(star)), ("ranked", -1, "c", star), ("link", "v0", 0)]
-    return _execute(inst, steps)
+    return _execute(inst.composite, steps)[0]
 
 
 def _ranked(
@@ -256,57 +201,77 @@ def _ranked(
     return ("ranked", blk.index, f"a{blk.index}_", star)
 
 
-def _execute(inst: CoronaInstance, steps: Iterable[tuple]) -> LabelingRun:
-    """Run a schedule. Every step that labels takes the next labels of 1..|E|.
+def _execute(g: Graph, steps: Iterable[tuple]) -> tuple[LabelingRun, list[int]]:
+    """Run a schedule on g; return the run and the vertex sums.
 
-    - ("run", edge_ids): the edges in the given order.
+    The steps build the label order, the list of edge ids that receive the
+    labels 1, 2, ..., |E| in turn:
+
+    - ("run", edge_ids): the edges join the order as given.
     - ("ranked", block, prefix, star): star maps each vertex to its edges,
-      one per fan. The vertices are ranked on their live partial sums, each
-      fan runs in rank order, and the ranked vertices join the chain as
-      prefix1, prefix2, ...
+      one per fan. The vertices are ranked on their partial sums, each fan
+      joins the order in rank order, and the ranked vertices join the chain
+      as prefix1, prefix2, ... (not at all if prefix is None).
     - ("mark", name[, value]): checkpoint name is the last label handed out
       so far, or value.
     - ("link", name, vertex): vertex joins the chain.
+
+    The partial sums are settled, labels written and sums added, only before
+    each ranking and once at the end, so every edge is touched once. The
+    order must hold every edge exactly once.
     """
-    st = LabelState(inst.composite)
-    last = 0
+    edges = g.edges
+    order: list[int] = []
+    labels = [0] * g.edge_count
+    sums = [0] * g.vertex_count
+
+    def settle(done: int) -> int:
+        for label, edge_id in enumerate(order[done:], start=done + 1):
+            labels[edge_id] = label
+            u, v = edges[edge_id]
+            sums[u] += label
+            sums[v] += label
+        return len(order)
+
+    settled = 0
     ranked: list[RankedBlock] = []
     offsets: list[tuple[str, int]] = []
     entries: list[tuple[str, int]] = []
     for step in steps:
         match step:
             case ("run", edge_ids):
-                last = label_block(st, edge_ids, last)
+                order += edge_ids
             case ("ranked", block, prefix, star):
-                rk = rank_by_partial_sums(star, st.partial_sums, block=block)
+                settled = settle(settled)
+                rk = rank_by_partial_sums(star, sums, block=block)
                 for fan in zip(*(star[v] for v in rk.vertices)):
-                    last = label_block(st, fan, last)
+                    order += fan
                 ranked.append(rk)
-                entries += [(f"{prefix}{k}", v) for k, v in enumerate(rk.vertices, start=1)]
+                if prefix is not None:
+                    entries += [(f"{prefix}{k}", v) for k, v in enumerate(rk.vertices, start=1)]
             case ("mark", name):
-                offsets.append((name, last))
+                offsets.append((name, len(order)))
             case ("mark", name, value):
                 offsets.append((name, value))
             case ("link", name, vertex):
                 entries.append((name, vertex))
-    labeling = st.finish()
-    sums = st.partial_sums  # complete now: every edge carries its label
+    if len(order) != g.edge_count:
+        raise LabelingError(f"label order has {len(order)} edges, expected {g.edge_count}")
+    settle(settled)
+    if 0 in labels:
+        missing = [i for i, label in enumerate(labels) if label == 0]
+        raise LabelingError(f"label order repeats edges and leaves out {missing[:5]}")
     chain = tuple(
-        ChainCheck(
-            name=f"w({left_name})<w({right_name})",
-            left=left,
-            right=right,
-            left_sum=sums[left],
-            right_sum=sums[right],
-        )
+        ChainCheck(f"w({left_name})<w({right_name})", left, right, sums[left], sums[right])
         for (left_name, left), (right_name, right) in zip(entries, entries[1:])
     )
-    return LabelingRun(
-        labeling=labeling,
+    run = LabelingRun(
+        labeling=Labeling(tuple(labels), g.edge_count),
         ranked_blocks=tuple(ranked),
         chain=chain,
         offsets=tuple(offsets),
     )
+    return run, sums
 
 
 def universal_vertex_labeling(g: Graph, hub: int) -> Labeling:
@@ -316,23 +281,18 @@ def universal_vertex_labeling(g: Graph, hub: int) -> Labeling:
     labels along the ranked partial sums of its neighbors. The result is
     post-verified and rejected if any two sums collide.
     """
-    labeling, _ = _universal_run(g, hub)
-    return labeling
+    return _universal_run(g, hub).labeling
 
 
-def _universal_run(g: Graph, hub: int) -> tuple[Labeling, RankedBlock]:
-    star = {u + v - hub: i for i, (u, v) in enumerate(g.edges) if hub in (u, v)}
+def _universal_run(g: Graph, hub: int) -> LabelingRun:
+    star = {u + v - hub: (i,) for i, (u, v) in enumerate(g.edges) if hub in (u, v)}
     if star.keys() != set(range(g.vertex_count)) - {hub}:
         raise NotUniversal(f"vertex {hub} is not adjacent to every other vertex")
-    st = LabelState(g)
     non_hub_edges = [i for i, (u, v) in enumerate(g.edges) if hub not in (u, v)]
-    nxt = label_block(st, non_hub_edges, 0)
-    rk = rank_by_partial_sums(star, st.partial_sums)
-    label_block(st, [star[v] for v in rk.vertices], nxt)
-    labeling = st.finish()
-    if len(set(st.partial_sums)) != g.vertex_count:
+    run, sums = _execute(g, [("run", non_hub_edges), ("ranked", -1, None, star)])
+    if len(set(sums)) != g.vertex_count:
         raise ConstructionFailed("hub construction produced duplicate sums")
-    return labeling, rk
+    return run
 
 
 def _require_conditions(inst: CoronaInstance, force: bool) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from antimagic import build_type1, build_type2, preset_graph
@@ -25,6 +27,30 @@ def S(n):
 
 def diamond():
     return preset_graph("diamond")
+
+
+# The attachment catalog of the small-instance sweep, in non-decreasing
+# vertex count; instances list entries in non-decreasing catalog order.
+CATALOG = (
+    ("complete", (2,)),
+    ("path", (3,)),
+    ("complete", (3,)),
+    ("path", (4,)),
+    ("star", (4,)),
+    ("cycle", (4,)),
+    ("diamond", ()),
+    ("complete", (4,)),
+    ("star", (5,)),
+    ("cycle", (5,)),
+    ("complete", (5,)),
+)
+CATALOG_GRAPHS = tuple(preset_graph(kind, params) for kind, params in CATALOG)
+
+
+def catalog_combos(blocks):
+    """Every multiset of `blocks` catalog graphs, each listed in catalog order."""
+    for combo in itertools.combinations_with_replacement(CATALOG_GRAPHS, blocks):
+        yield list(combo)
 
 
 @pytest.fixture

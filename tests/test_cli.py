@@ -226,6 +226,21 @@ def test_export_dot_with_labeling(capsys, tmp_path):
     assert "w=3" in out
 
 
+def test_export_dot_escapes_names(capsys, tmp_path):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]], "names": ['a"b', "c\\"]}))
+    lab = tmp_path / "lab.csv"
+    lab.write_text("edge_u,edge_v,label\n0,1,1\n")
+    code, out, _ = run_cli(capsys, "export", str(graph), "--format", "dot")
+    assert code == 0
+    assert '  0 [label="a\\"b"];\n  1 [label="c\\\\"];\n' in out
+    code, out, _ = run_cli(
+        capsys, "export", str(graph), "--format", "dot", "--labeling", str(lab)
+    )
+    assert code == 0
+    assert '  0 [label="a\\"b\\nw=1"];\n  1 [label="c\\\\\\nw=1"];\n' in out
+
+
 def test_missing_file_is_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "build", str(tmp_path / "nope.json"))
     assert code == 65

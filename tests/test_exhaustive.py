@@ -1,0 +1,60 @@
+"""The theorems checked over every small instance of the attachment catalog.
+
+All multisets of catalog attachments over pan r=3, pan r=4 and spider p=2
+(12,012 instances, T41 and T42), and a fixed slice of the 92,378 over spider
+p=3 (T43). Where the hypotheses hold, the labeling must be antimagic and
+every link of its sum chain must hold on sums recomputed from the labels.
+Every run, forced where the hypotheses fail, must hand out a bijection
+onto 1..|E|.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from antimagic import build_type1, build_type2, check_conditions, run_type1, run_type2, vertex_sums
+
+from .conftest import catalog_combos
+
+
+def _recomputed_sums(g, labels):
+    sums = [0] * g.vertex_count
+    for (u, v), label in zip(g.edges, labels):
+        sums[u] += label
+        sums[v] += label
+    return sums
+
+
+def _hypotheses_hold(inst) -> bool:
+    """Check the run on inst; return whether its hypotheses hold."""
+    held = check_conditions(inst).overall
+    run = (run_type1 if inst.kind == "pan" else run_type2)(inst, force=True)
+    g = inst.composite
+    assert sorted(run.labeling.labels) == list(range(1, g.edge_count + 1))
+    if held:
+        assert vertex_sums(g, run.labeling).is_antimagic
+        sums = _recomputed_sums(g, run.labeling.labels)
+        assert run.chain
+        assert all(sums[c.left] < sums[c.right] for c in run.chain)
+    return held
+
+
+def test_catalog_sweep_pan_r3_r4_spider_p2():
+    counts = {}
+    for kind, param, blocks in (("pan", 3, 4), ("pan", 4, 5), ("spider", 2, 6)):
+        build = build_type1 if kind == "pan" else build_type2
+        held = [_hypotheses_hold(build(param, atts)) for atts in catalog_combos(blocks)]
+        counts[kind, param] = (len(held), sum(held))
+    assert counts == {("pan", 3): (1001, 45), ("pan", 4): (3003, 81), ("spider", 2): (8008, 531)}
+    assert sum(held for _, held in counts.values()) == 657
+
+
+def test_catalog_slice_spider_p3():
+    # Of all 92,378 spider p=3 instances only index 285 (K2 on the six leg
+    # edges, K5 on the three center edges) meets T43; the slice, every 97th
+    # from index 91, includes it.
+    held = [
+        _hypotheses_hold(build_type2(3, atts))
+        for atts in itertools.islice(catalog_combos(9), 91, None, 97)
+    ]
+    assert (len(held), sum(held)) == (952, 1)

@@ -17,8 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from antimagic import build_type1, build_type2, check_conditions, preset_graph, run_type1, run_type2
+from antimagic import build_type1, build_type2, check_conditions, run_type1, run_type2
 from antimagic.cli import main
+
+from .conftest import CATALOG_GRAPHS, catalog_combos
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -35,22 +37,6 @@ CLI_CASES = [
     (["label", "spider_p4.json"], "label_spider_p4", 0),
     (["label", "violating.json", "--force"], "label_force_violating", 2),
 ]
-
-# The attachment catalog of the small-instance sweep, in non-decreasing
-# vertex count; instances list entries in non-decreasing catalog order.
-CATALOG = (
-    ("complete", (2,)),
-    ("path", (3,)),
-    ("complete", (3,)),
-    ("path", (4,)),
-    ("star", (4,)),
-    ("cycle", (4,)),
-    ("diamond", ()),
-    ("complete", (4,)),
-    ("star", (5,)),
-    ("cycle", (5,)),
-    ("complete", (5,)),
-)
 
 DIGEST = "15e06d7ef182d0b30914fbe95a9bb0943d8f2db6f8b20d853c2acb6cc4134e24"
 
@@ -80,17 +66,12 @@ def golden_instances():
     """All pan r=3 catalog instances, every 37th spider p=2 and every 997th
     spider p=3 instance, spider p=1 with each catalog graph on all three
     legs, and spider p=7, whose middle leg edges are labeled round-robin."""
-    graphs = [preset_graph(kind, params) for kind, params in CATALOG]
-
-    def combos(blocks):
-        for combo in itertools.combinations_with_replacement(range(len(graphs)), blocks):
-            yield [graphs[i] for i in combo]
-
-    for atts in combos(4):
+    graphs = CATALOG_GRAPHS
+    for atts in catalog_combos(4):
         yield build_type1(3, atts)
-    for atts in itertools.islice(combos(6), 0, None, 37):
+    for atts in itertools.islice(catalog_combos(6), 0, None, 37):
         yield build_type2(2, atts)
-    for atts in itertools.islice(combos(9), 0, None, 997):
+    for atts in itertools.islice(catalog_combos(9), 0, None, 997):
         yield build_type2(3, atts)
     for g in graphs:
         yield build_type2(1, [g] * 3)

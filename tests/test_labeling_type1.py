@@ -2,42 +2,84 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from antimagic import (
     build_type1,
     build_type2,
-    label_block,
     rank_by_partial_sums,
     run_type1,
     vertex_sums,
 )
-from antimagic.labeling import AlreadyLabeled, ConditionsNotMet, LabelState, WrongBaseType
+from antimagic.labeling import ConditionsNotMet, LabelingError, WrongBaseType, _execute
 
 from .conftest import C, K, named_sums
 
 
+def _k2_pan():
+    # Pan r=3 with K2 on every edge: 4 base, 4 internal and 16 cross edges.
+    return build_type1(3, [K(2)] * 4).composite
+
+
 def test_label_block_consecutive():
-    g = build_type1(3, [K(2)] * 4).composite
-    st = LabelState(g)
-    assert label_block(st, [0, 1, 2], 7) == 10
-    assert [st.labels[i] for i in (0, 1, 2)] == [8, 9, 10]
+    # A run step hands the next consecutive labels to its edges, in order.
+    g = _k2_pan()
+    steps = [("run", range(3, 10)), ("run", [2, 0, 1]), ("mark", "x"), ("run", range(10, 24))]
+    run, sums = _execute(g, steps)
+    labels = run.labeling.labels
+    assert [labels[i] for i in (2, 0, 1)] == [8, 9, 10]
+    assert [labels[i] for i in range(3, 10)] == list(range(1, 8))
+    assert run.offsets == (("x", 10),)
+    assert sorted(labels) == list(range(1, 25))
+    assert sums == list(vertex_sums(g, run.labeling).sums)
 
 
 def test_label_block_empty():
-    g = build_type1(3, [K(2)] * 4).composite
-    st = LabelState(g)
-    assert label_block(st, [], 5) == 5
+    # An empty run step hands out no label.
+    g = _k2_pan()
+    steps = [("run", range(5)), ("mark", "a"), ("run", []), ("mark", "b"), ("run", range(5, 24))]
+    run, _ = _execute(g, steps)
+    assert run.offsets == (("a", 5), ("b", 5))
+    assert run.labeling.labels == tuple(range(1, 25))
 
 
 def test_label_block_relabel_rejected():
-    g = build_type1(3, [K(2)] * 4).composite
-    st = LabelState(g)
-    label_block(st, [0], 0)
-    with pytest.raises(AlreadyLabeled):
-        label_block(st, [0], 5)
-    with pytest.raises(AlreadyLabeled):
-        st.assign(1, 1)
+    # The label order must hold every edge exactly once.
+    g = _k2_pan()
+    bad_orders = [
+        [("run", [0]), ("run", [0]), ("run", range(2, 24))],  # repeat and omission
+        [("run", [0]), ("run", range(24))],  # repeat, one edge too many
+        [("run", range(1, 24))],  # omission, one edge too few
+        [("run", range(12)), ("ranked", 0, "a", {4: (12,), 5: (12,)}), ("run", range(14, 24))],
+    ]
+    for steps in bad_orders:
+        with pytest.raises(LabelingError):
+            _execute(g, steps)
+
+
+def test_label_order_checked_under_optimize():
+    # python -O strips assert statements; the end check must not be one.
+    code = (
+        "from antimagic import build_type1, preset_graph\n"
+        "from antimagic.labeling import LabelingError, _execute\n"
+        "g = build_type1(3, [preset_graph('complete', [2])] * 4).composite\n"
+        "for steps in ([('run', [0, 0, *range(2, 24)])], [('run', range(23))]):\n"
+        "    try:\n"
+        "        _execute(g, steps)\n"
+        "    except LabelingError:\n"
+        "        continue\n"
+        "    raise SystemExit('accepted a bad label order')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_rank_by_partial_sums_sorts():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from antimagic import (
     build_type1,
     build_type2,
+    check_conditions,
     degree_profile,
+    is_connected,
     make_graph,
     normalize_attachments,
     preset_graph,
@@ -181,3 +183,98 @@ def test_composite_passes_make_graph_unchanged(kind, data):
         p = data.draw(st.integers(1, 3))
         c = build_type2(p, [data.draw(connected_graphs(max_vertices=4)) for _ in range(3 * p)]).composite
     assert make_graph(c.vertex_count, c.edges, c.names) == c
+
+
+@st.composite
+def any_graphs(draw, max_vertices=7):
+    """Random simple graph, connected or not."""
+    n = draw(st.integers(0, max_vertices))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return make_graph(n, draw(st.permutations(edges)))
+
+
+def _recount(g):
+    """Degrees and connectivity, recounted by union-find."""
+    degrees = [0] * g.vertex_count
+    root = list(range(g.vertex_count))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges:
+        degrees[u] += 1
+        degrees[v] += 1
+        root[find(u)] = find(v)
+    return degrees, len({find(v) for v in range(g.vertex_count)}) <= 1
+
+
+@given(any_graphs())
+def test_memoized_facts_match_a_fresh_recount(g):
+    twin = make_graph(g.vertex_count, g.edges, g.names)
+    profile, connected = degree_profile(g), is_connected(g)
+    assert twin == g and hash(twin) == hash(g)
+    degrees, fresh_connected = _recount(g)
+    assert profile.degrees == tuple(degrees)
+    assert profile.max_degree == max(degrees, default=0)
+    assert profile.min_degree == min(degrees, default=0)
+    assert connected == fresh_connected
+    # Repeated calls return the kept values.
+    assert degree_profile(g) is profile and is_connected(g) is connected
+    assert degree_profile(twin) == profile and is_connected(twin) == connected
+
+
+def _conditions_from_composite(inst):
+    """Every condition's (lhs, rhs), recomputed from the composite's degrees
+    and each block's vertex range."""
+    deg = degree_profile(inst.composite).degrees
+    at = {name: deg[v] for v, name in enumerate(inst.composite.names)}
+
+    def over(i):
+        return [deg[v] for v in inst.block(i).vertex_ids]
+
+    def size(i):
+        return len(inst.block(i).vertex_ids)
+
+    def att_chain(i):  # a block vertex has two cross edges
+        return max(over(i)) - 2, min(over(i + 1)) - 2
+
+    out = {}
+    if inst.kind == "pan":
+        r = inst.base.r
+        out.update({f"T41-size-{i}": (size(i), size(i + 1)) for i in range(r)})
+        out["T41-h0h1"] = att_chain(0)
+        out.update({f"T41-chain-{i}": att_chain(i) for i in range(1, r)})
+        out.update({f"T41-star-{i}": (at["u0"], min(over(i))) for i in range(r + 1)})
+        out["T41-cap"] = (max(over(r)), at["u1"])
+        return out
+    p = inst.base.p
+    if p == 1:
+        return out
+    t, chain = ("T43", "T43-i-{}") if p > 2 else ("T42", "T42-chain-{}")
+    out.update({f"{t}-size-{i}": (size(i), size(i + 1)) for i in range(1, 3 * p)})
+    out.update({chain.format(i): att_chain(i) for i in range(1, 3 * p)})
+    for k, leg in enumerate("xyz", start=1):  # the tip of a leg against block k + 1
+        tip_id = f"T43-ii-{leg}" if p > 2 else f"T42-deg-{leg}2"
+        out[tip_id] = (at[f"{leg}{p}"], min(over(k + 1)))
+    if p > 2:
+        out["T43-iii"] = (max(over(3 * p - 3)), size(4) + 1)
+        out["T43-iv"] = (at["z2"], min(over(3 * p - 2)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["pan", "spider"]), st.data())
+def test_condition_witnesses_match_composite_degrees(kind, data):
+    if kind == "pan":
+        r = data.draw(st.integers(3, 6))
+        inst = build_type1(r, [data.draw(connected_graphs(max_vertices=5)) for _ in range(r + 1)])
+    else:
+        p = data.draw(st.integers(1, 4))
+        inst = build_type2(p, [data.draw(connected_graphs(max_vertices=4)) for _ in range(3 * p)])
+    report = check_conditions(inst)
+    assert {c.id: (c.lhs, c.rhs) for c in report.conditions} == _conditions_from_composite(inst)
+    for c in report.conditions:
+        assert c.holds == (c.lhs < c.rhs if c.id == "T41-h0h1" else c.lhs <= c.rhs)
