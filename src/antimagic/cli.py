@@ -78,11 +78,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="look for an antimagic labeling")
     p_search.add_argument("graph", type=Path)
     mode = p_search.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--exhaustive", action="store_true")
+    mode.add_argument(
+        "--exhaustive",
+        action="store_true",
+        help="try label permutations in order; the work grows factorially in |E|, "
+        "and --limit is the only guard",
+    )
     mode.add_argument("--random", action="store_true")
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--budget", type=int, default=10000)
-    p_search.add_argument("--limit", type=int, default=10, help="exhaustive edge-count cap")
+    p_search.add_argument(
+        "--limit",
+        type=int,
+        default=10,
+        help="largest |E| --exhaustive accepts (default 10); each extra edge multiplies "
+        "the worst-case work by about |E|",
+    )
     p_search.set_defaults(handler=_cmd_search)
 
     p_export = sub.add_parser("export", help="convert a graph (and labeling) to json, csv, or dot")
@@ -95,13 +106,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_json(path: Path) -> object:
-    return json.loads(path.read_text(encoding="utf-8"))
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise aio.SpecError(f"{path}: JSON nested too deeply") from None
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise aio.SpecError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_labeling(path: Path, g: Graph) -> Labeling:
     """Read a labeling of g from a .csv file or, otherwise, a JSON file."""
     if path.suffix == ".csv":
-        return aio.labeling_from_csv(path.read_text(encoding="utf-8"), g)
+        return aio.labeling_from_csv(_read_text(path), g)
     return aio.labeling_from_json(_read_json(path), g)
 
 

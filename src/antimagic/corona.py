@@ -11,8 +11,8 @@ only record of an edge's role (base, internal to a block, or cross edge);
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Sequence
+from itertools import product, repeat
+from typing import NamedTuple, Sequence
 
 # make_graph is not called here; bench/run.py traces it as corona.make_graph.
 from .graphs import Graph, is_connected, make_graph, preset_graph  # noqa: F401
@@ -55,9 +55,9 @@ class SpiderType2:
 BaseSpec = PanType1 | SpiderType2
 
 
-@dataclass(frozen=True)
-class Block:
-    """One attachment embedded in the composite."""
+class Block(NamedTuple):
+    """One attachment embedded in the composite. The field `index` shadows
+    `tuple.index`."""
 
     index: int  # block id: 0..r for pan bases, 1..3p for spider bases
     graph: Graph
@@ -108,12 +108,14 @@ class CoronaInstance:
         edge k, "internal:b" for an edge inside block b, and "cross:b:x:j"
         for the edge from base vertex x to the j-th (1-based) vertex of
         block b."""
-        roles = [f"base:{k}" for k in range(self.base_graph.edge_count)]
-        for blk in self.blocks:
-            roles += repeat(f"internal:{blk.index}", len(blk.edge_ids))
-            for side, endpoint in enumerate(blk.endpoints):
-                fan = range(1, len(blk.cross_fan(side)) + 1)
-                roles += [f"cross:{blk.index}:{endpoint}:{j}" for j in fan]
+        base_edges = self.base_graph.edge_count
+        ordinals = list(map(str, range(max(base_edges, *self.attachment_orders) + 1)))
+        roles = list(map("base:".__add__, ordinals[:base_edges]))
+        for index, h, _, edge_ids, endpoints in self.blocks:
+            roles += repeat(f"internal:{index}", len(edge_ids))
+            fan = ordinals[1 : h.vertex_count + 1]
+            for endpoint in endpoints:
+                roles += map(f"cross:{index}:{endpoint}:".__add__, fan)
         return roles
 
 
@@ -170,29 +172,23 @@ def _assemble(
     names = list(base.names or (str(i) for i in range(base.vertex_count)))
     edges = list(base.edges)
 
+    # "0", "1", ...: the suffixes of the block vertex names.
+    ordinals = list(map(str, range(max(g.vertex_count for g in attachments) + 1)))
     blocks: list[Block] = []
     next_vertex = base.vertex_count
     for k, h in enumerate(attachments):
         block_id = first_block + k
         start = next_vertex
-        names += [f"v{block_id}_{j}" for j in range(1, h.vertex_count + 1)]
+        names += map(f"v{block_id}_".__add__, ordinals[1 : h.vertex_count + 1])
         # Internal edges, then the cross fans from the lower and the upper
         # base endpoint, each contiguous; Block.cross_fan and
         # CoronaInstance.edge_roles rely on this.
         first_internal = len(edges)
         edges += [(start + a, start + b) for a, b in h.edges]
-        lo, hi = base.edges[k]
-        for endpoint in (lo, hi):  # base vertices precede block vertices
-            edges += [(endpoint, w) for w in range(start, start + h.vertex_count)]
-        blocks.append(
-            Block(
-                index=block_id,
-                graph=h,
-                vertex_start=start,
-                edge_ids=range(first_internal, first_internal + h.edge_count),
-                endpoints=(lo, hi),
-            )
-        )
+        lo, hi = base.edges[k]  # base vertices precede block vertices
+        edges += product((lo, hi), range(start, start + h.vertex_count))
+        internal = range(first_internal, first_internal + h.edge_count)
+        blocks.append(Block(block_id, h, start, internal, (lo, hi)))
         next_vertex += h.vertex_count
 
     # The parts are validated graphs and every edge above is (min, max), so

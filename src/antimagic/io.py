@@ -137,7 +137,7 @@ def graph_from_json(obj: Mapping[str, Any]) -> Graph:
     if "kind" in obj:
         kind = PRESET_ALIASES.get(obj["kind"], obj["kind"])
         params = obj.get("params", [])
-        if not isinstance(params, list):
+        if not isinstance(params, list) or not set(map(type, params)) <= {int}:
             raise SpecError("params must be a list of integers")
         return preset_graph(kind, params)
     if "vertices" in obj and "edges" in obj:
@@ -183,7 +183,7 @@ def instance_from_json(obj: Mapping[str, Any]) -> tuple[CoronaInstance, dict[str
     raw_attachments = obj.get("attachments")
     if not isinstance(raw_attachments, list):
         raise SpecError("attachments must be a list of graph descriptors")
-    attachments = [graph_from_json(a) for a in raw_attachments]
+    attachments = _shared_graphs(raw_attachments)
     options_obj = obj.get("options", {})
     if not isinstance(options_obj, Mapping):
         raise SpecError("options must be an object")
@@ -204,6 +204,30 @@ def instance_from_json(obj: Mapping[str, Any]) -> tuple[CoronaInstance, dict[str
     raise SpecError(f"unknown base type {base_type!r}")
 
 
+def _shared_graphs(descriptors: Sequence[Any]) -> list[Graph]:
+    """One Graph per descriptor, shared by every descriptor that reads
+    alike, so that each distinct attachment is validated,
+    connectivity-checked and degree-profiled once.
+
+    Descriptors read alike when their `repr`s are equal: for the values
+    `json.loads` returns, the same keys in the same order with the same
+    values, where `true` is not `1` and `3.0` is not `3`. A descriptor too
+    deep to `repr` is read on its own.
+    """
+    shared: dict[str, Graph] = {}
+    graphs = []
+    for descriptor in descriptors:
+        try:
+            key = repr(descriptor)
+        except RecursionError:
+            graphs.append(graph_from_json(descriptor))
+            continue
+        if key not in shared:
+            shared[key] = graph_from_json(descriptor)
+        graphs.append(shared[key])
+    return graphs
+
+
 def labeling_to_json(
     g: Graph,
     labeling: Labeling,
@@ -212,12 +236,16 @@ def labeling_to_json(
 ) -> dict[str, Any]:
     """The labeling as {"edges": [{"u", "v", "label"[, "role"]}...][, "sums"]},
     with `roles` (such as `CoronaInstance.edge_roles`) written as given."""
-    edges = []
-    for edge_id, (u, v) in enumerate(g.edges):
-        entry: dict[str, Any] = {"u": u, "v": v, "label": labeling.labels[edge_id]}
-        if roles is not None:
-            entry["role"] = roles[edge_id]
-        edges.append(entry)
+    if roles is None:
+        edges = [
+            {"u": u, "v": v, "label": label}
+            for (u, v), label in zip(g.edges, labeling.labels, strict=True)
+        ]
+    else:
+        edges = [
+            {"u": u, "v": v, "label": label, "role": role}
+            for (u, v), label, role in zip(g.edges, labeling.labels, roles, strict=True)
+        ]
     out: dict[str, Any] = {"edges": edges}
     if sums is not None:
         out["sums"] = list(sums)
@@ -303,7 +331,8 @@ def to_dot(
 
 
 def sum_report_to_json(g: Graph, report: SumReport) -> dict[str, Any]:
-    named = {f"w({g.name_of(v)})": s for v, s in enumerate(report.sums)}
+    names = g.names or map(str, range(g.vertex_count))
+    named = {f"w({name})": s for name, s in zip(names, report.sums, strict=True)}
     out: dict[str, Any] = {
         "vertex_sums": named,
         "is_antimagic": report.is_antimagic,

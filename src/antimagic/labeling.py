@@ -108,8 +108,9 @@ def rank_by_partial_sums(
     block: int = -1,
 ) -> RankedBlock:
     """Order vertices by partial sum, non-decreasing; ties by ascending id."""
-    ordered = sorted(vertices, key=lambda v: (partial_sums[v], v))
-    return RankedBlock(block, tuple(ordered), tuple(partial_sums[v] for v in ordered))
+    # Sorting by id first leaves ties in id order, since sorts are stable.
+    ordered = sorted(sorted(vertices), key=partial_sums.__getitem__)
+    return RankedBlock(block, tuple(ordered), tuple(map(partial_sums.__getitem__, ordered)))
 
 
 def run_type1(inst: CoronaInstance, *, force: bool = False) -> LabelingRun:
@@ -244,7 +245,7 @@ def _execute(g: Graph, steps: Iterable[tuple]) -> tuple[LabelingRun, list[int]]:
             case ("ranked", block, prefix, star):
                 settled = settle(settled)
                 rk = rank_by_partial_sums(star, sums, block=block)
-                for fan in zip(*(star[v] for v in rk.vertices)):
+                for fan in zip(*map(star.__getitem__, rk.vertices)):
                     order += fan
                 ranked.append(rk)
                 if prefix is not None:

@@ -401,3 +401,61 @@ def test_verify_repeated_vertex_names_is_input_error(capsys, tmp_path):
         assert code == 65, names
         assert out == ""
         assert err.count("\n") == 1 and "names" in err
+
+
+def _p3_graph(tmp_path):
+    p3 = tmp_path / "p3.json"
+    p3.write_text(json.dumps({"kind": "P", "params": [3]}))
+    return p3
+
+
+def _unreadable_files(tmp_path):
+    """A file that is not UTF-8, and JSON nested 100,000 deep."""
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    return not_utf8, deep
+
+
+def test_unreadable_spec_is_input_error(capsys, tmp_path):
+    for spec in _unreadable_files(tmp_path):
+        for command in ("label", "build", "conditions"):
+            code, out, err = run_cli(capsys, command, str(spec))
+            assert code == 65, (command, spec.name)
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unreadable_graph_or_labeling_is_input_error(capsys, tmp_path):
+    p3 = _p3_graph(tmp_path)
+    not_utf8, deep = _unreadable_files(tmp_path)
+    not_utf8_csv = tmp_path / "lab.csv"
+    not_utf8_csv.write_bytes(b"edge_u,edge_v,label\n0,1,\xff\n")
+    runs = [("verify", p3, lab) for lab in (not_utf8, deep, not_utf8_csv)]
+    runs += [("verify", g, p3) for g in (not_utf8, deep)]
+    runs += [("export", p3, "--labeling", lab) for lab in (not_utf8, deep, not_utf8_csv)]
+    for argv in runs:
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert code == 65, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_boolean_params_is_input_error(capsys, tmp_path):
+    spec = json.loads((FIXTURES / "spider_p2.json").read_text())
+    spec["attachments"][0] = {"kind": "K", "params": [True]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, _, err = run_cli(capsys, "label", str(path))
+    assert code == 65
+    assert err == "error: params must be a list of integers\n"
+
+
+def test_search_help_documents_exhaustive_growth(capsys):
+    try:
+        main(["search", "--help"])
+    except SystemExit as exc:
+        assert exc.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "factorially" in out and "--limit" in out

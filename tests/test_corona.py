@@ -158,3 +158,29 @@ def test_cross_fans_follow_block_layout(pan_r5, spider_p2):
             r for blk in inst.blocks for r in (blk.edge_ids, blk.cross_fan(0), blk.cross_fan(1))
         ]
         assert sorted(chain.from_iterable(ranges)) == list(range(inst.composite.edge_count))
+
+
+def test_block_public_surface(pan_r5, spider_p4):
+    """Block is a tuple; its `index` field shadows `tuple.index`, and its
+    names and methods read as before."""
+    for inst, first in ((pan_r5, 0), (spider_p4, 1)):
+        start = inst.base_graph.vertex_count
+        edge = inst.base_graph.edge_count
+        for k, blk in enumerate(inst.blocks):
+            h = inst.attachments[k]
+            assert isinstance(blk, tuple)
+            assert blk.index == first + k and type(blk.index) is int
+            assert inst.block(blk.index) is blk
+            assert blk.graph is h
+            assert blk.vertex_start == start
+            assert blk.vertex_ids == range(start, start + h.vertex_count)
+            assert blk.edge_ids == range(edge, edge + h.edge_count)
+            assert blk.endpoints == inst.base_graph.edges[k]
+            for side in (0, 1):
+                fan_start = edge + h.edge_count + side * h.vertex_count
+                assert blk.cross_fan(side) == range(fan_start, fan_start + h.vertex_count)
+            assert blk == (blk.index, h, start, blk.edge_ids, blk.endpoints)
+            with pytest.raises(AttributeError):
+                blk.index = 0
+            start += h.vertex_count
+            edge += h.edge_count + 2 * h.vertex_count

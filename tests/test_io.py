@@ -9,8 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from antimagic import build_type2, io as aio
+from antimagic import build_type1, build_type2, io as aio
 from antimagic import preset_graph, run_type2, vertex_sums
+from antimagic.corona import AttachmentTooSmall, DisconnectedAttachment
+from antimagic.graphs import BadParams
 
 
 def test_graph_json_round_trip_is_byte_identical():
@@ -46,6 +48,8 @@ def test_explicit_descriptor():
         {"kind": "complete"},  # missing params is fine, but wrong arity fails
         {"vertices": 3},
         {"kind": "K", "params": 4},
+        {"kind": "K", "params": [True]},  # not K1
+        {"kind": "K", "params": [False]},
     ],
 )
 def test_bad_graph_descriptors(obj):
@@ -92,6 +96,111 @@ def test_instance_descriptor_errors():
         aio.instance_from_json({"base": {"type": "wheel", "param": 3}, "attachments": []})
     with pytest.raises(aio.SpecError):
         aio.instance_from_json({"base": {"type": "pan", "param": 3}})
+
+
+def _pan_spec(attachments, **options):
+    return {"base": {"type": "pan", "param": len(attachments) - 1},
+            "attachments": attachments, "options": options}
+
+
+def _c3():
+    return {"kind": "C", "params": [3]}
+
+
+def test_identical_descriptors_share_one_graph():
+    spec = json.loads(json.dumps(_pan_spec([{"kind": "K", "params": [2]}] + [_c3()] * 50)))
+    inst, _ = aio.instance_from_json(spec)
+    k2, c3 = inst.attachments[0], inst.attachments[1]
+    assert all(h is c3 for h in inst.attachments[1:])
+    assert k2 is not c3
+    assert len({id(h) for h in inst.attachments}) == 2
+    separate = build_type1(50, [preset_graph("complete", [2])] + [preset_graph("cycle", [3]) for _ in range(50)])
+    assert inst.composite == separate.composite
+    assert inst.edge_roles == separate.edge_roles
+
+
+@pytest.mark.parametrize(
+    "descriptors, groups",
+    [
+        # Aliases are different JSON values, so they read apart.
+        ([{"kind": "K", "params": [3]}, {"kind": "complete", "params": [3]}] * 2, [0, 1, 0, 1]),
+        ([{"kind": "K", "params": [3]}, {"kind": "K", "params": [4]}] * 2, [0, 1, 0, 1]),
+        (
+            [
+                {"vertices": 2, "edges": [[0, 1]], "names": ["a", "b"]},
+                {"vertices": 2, "edges": [[0, 1]], "names": ["a", "c"]},
+                {"vertices": 2, "edges": [[0, 1]]},
+            ]
+            * 2,
+            [0, 1, 2, 0, 1, 2],
+        ),
+    ],
+)
+def test_different_descriptors_stay_separate(descriptors, groups):
+    spec = _pan_spec(json.loads(json.dumps(descriptors)))
+    inst, _ = aio.instance_from_json(spec)
+    for i, g in enumerate(inst.attachments):
+        assert g == aio.graph_from_json(descriptors[i])
+        for j, h in enumerate(inst.attachments):
+            assert (g is h) == (groups[i] == groups[j])
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ({"kind": "K", "params": [1]}, AttachmentTooSmall, "attachment at position 2 has < 2 vertices"),
+        ({"vertices": 3, "edges": [[0, 1]]}, DisconnectedAttachment, "attachment at position 2 is disconnected"),
+        ({"kind": "K", "params": [True]}, aio.SpecError, "params must be a list of integers"),
+        ({"kind": "K", "params": [3, 4]}, BadParams, "complete expects 1 parameter"),
+    ],
+)
+def test_repeated_malformed_descriptor_fails_at_its_position(bad, error, message):
+    spec = _pan_spec([{"kind": "K", "params": [2]}, _c3(), bad, _c3(), bad, _c3()])
+    with pytest.raises(error, match=message):
+        aio.instance_from_json(json.loads(json.dumps(spec)))
+
+
+def test_normalize_stable_sorts_shared_graphs():
+    p3, c3, k2, k4 = ({"kind": k, "params": [n]} for k, n in (("P", 3), ("C", 3), ("K", 2), ("K", 4)))
+    spec = _pan_spec([k4, p3, c3, p3, k2, c3, k2], normalize=True)
+    inst, _ = aio.instance_from_json(json.loads(json.dumps(spec)))
+    order = [k2, k2, p3, c3, p3, c3, k4]
+    assert list(inst.attachments) == [aio.graph_from_json(d) for d in order]
+    assert inst.attachments[0] is inst.attachments[1]
+    assert inst.attachments[2] is inst.attachments[4] is not inst.attachments[3]
+    assert inst.attachments[3] is inst.attachments[5]
+
+
+def _deep(depth):
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "twin, bad",
+    [
+        (_c3(), {"kind": "K", "params": [_deep(100_000)]}),  # too deep to repr
+        ({"kind": "K", "params": [3]}, {"kind": ["K"], "params": [3]}),
+        ({"kind": "K", "params": [3]}, {"kind": "K", "params": [{3}]}),
+        ({"vertices": 2, "edges": [[0, 1]]}, {"vertices": 2, "edges": [(0, 1)]}),
+        ({"kind": "K", "params": [3]}, {"kind": "K", "params": (3,)}),
+        (_c3(), [_c3()]),
+        (_c3(), None),
+    ],
+    ids=["deep", "list-kind", "set-param", "tuple-edge", "tuple-params", "list", "none"],
+)
+def test_sharing_adds_no_failure_mode(twin, bad):
+    """A descriptor fails inside a spec exactly as it fails on its own, also
+    after valid ones, after a look-alike and when it repeats."""
+    with pytest.raises(Exception) as alone:
+        aio.graph_from_json(bad)
+    valid = [{"kind": "K", "params": [2]}, _c3()]
+    for attachments in (valid + [_c3(), bad, _c3(), bad], valid + [twin, bad, twin, bad]):
+        with pytest.raises(type(alone.value)) as inside:
+            aio.instance_from_json(_pan_spec(attachments))
+        assert str(inside.value) == str(alone.value)
 
 
 def test_labeling_json_round_trip(spider_p2):
