@@ -19,7 +19,6 @@ from .graphs import (
     DegreeProfile,
     Graph,
     degree_profile,
-    incident_edges,
     is_connected,
     make_graph,
     preset_graph,
@@ -39,7 +38,6 @@ from .verify import (
     Status,
     SumReport,
     brute_force_search,
-    partial_vertex_sum,
     random_search,
     vertex_sums,
 )
@@ -65,11 +63,9 @@ __all__ = [
     "build_type2",
     "check_conditions",
     "degree_profile",
-    "incident_edges",
     "is_connected",
     "make_graph",
     "normalize_attachments",
-    "partial_vertex_sum",
     "preset_graph",
     "random_search",
     "rank_by_partial_sums",

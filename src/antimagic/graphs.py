@@ -119,15 +119,6 @@ def degree_profile(g: Graph) -> DegreeProfile:
     return g._degree_profile
 
 
-def incident_edges(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Edge ids incident to each vertex, in edge order."""
-    inc: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for i, (u, v) in enumerate(g.edges):
-        inc[u].append(i)
-        inc[v].append(i)
-    return tuple(tuple(lst) for lst in inc)
-
-
 def is_connected(g: Graph) -> bool:
     """Whether g is connected, computed on the first call and kept on g."""
     if g._connected is None:

@@ -2,9 +2,11 @@
 
 JSON output is canonical: for every JSON value, `canonical_dumps` returns
 exactly `json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`
-followed by one newline, written as UTF-8. Exporting and re-importing a
-graph or labeling is lossless. A labeling document's edge roles are the
-strings of `CoronaInstance.edge_roles`, written as given.
+followed by one newline, written as UTF-8. It writes bulk lists and dicts
+through row templates, filling many rows with one `%`, and types columns
+by exact type, so `bool` is never written by `%d`. Exporting and
+re-importing a graph or labeling is lossless. A labeling document's edge
+roles are the strings of `CoronaInstance.edge_roles`, written as given.
 
 Readers take JSON values by exact type: integers are `int` and never
 `bool`, flags are `bool`. A malformed descriptor raises `SpecError`; a
@@ -17,10 +19,10 @@ import csv
 import io as _io
 import json
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .corona import CoronaInstance, build_type1, build_type2, normalize_attachments
 from .graphs import Graph, make_graph, preset_graph
@@ -45,10 +47,14 @@ def canonical_dumps(obj: Any) -> str:
     newline, byte for byte.
 
     `indent` sends `json` to its pure-Python encoder, so this renders the
-    bulk shapes itself, column by column with C-level `map` and `%`: lists
-    and dict values of one scalar type, and lists of flat rows of one shape
-    (the labeling edges, the report chain, the composite's edge pairs).
-    Everything else goes through `json.dumps`.
+    bulk shapes itself: lists and dict values of one scalar type, and lists
+    of flat rows of one shape (the labeling edges, the report chain, the
+    composite's edge pairs). Each shape has one row template, repeated
+    `_CHUNK` times and filled by one `%` per chunk of rows. Columns are
+    typed by exact type: `int` values fill `%d` fields as they are, `str`
+    values fill `%s` fields through `encode_basestring`, and `bool`, an
+    `int` subclass, fills `%s` with `true`/`false`. Everything else goes
+    through `json.dumps`.
     """
     try:
         return _encode(obj, 0) + "\n"
@@ -57,18 +63,20 @@ def canonical_dumps(obj: Any) -> str:
 
 
 _INDENT = "  "
-# Renderers for the exact scalar types; bool is not an int here.
-_SCALARS: dict[type, Any] = {
-    int: int.__repr__,
-    str: encode_basestring,
-    bool: {False: "false", True: "true"}.__getitem__,
+_CHUNK = 512  # rows filled by one % call
+# Conversion and renderer for each exact scalar type; bool is not an int here.
+_SCALARS: dict[type, tuple[str, Any]] = {
+    int: ("%d", None),
+    str: ("%s", encode_basestring),
+    bool: ("%s", {False: "false", True: "true"}.__getitem__),
 }
 
 
 def _encode(obj: Any, level: int) -> str:
     kind = type(obj)
     if kind in _SCALARS:
-        return _SCALARS[kind](obj)
+        field, render = _SCALARS[kind]
+        return field % (obj if render is None else render(obj))
     inner = "\n" + _INDENT * (level + 1)
     outer = "\n" + _INDENT * level
     if kind is dict and set(map(type, obj)) <= {str}:
@@ -76,29 +84,44 @@ def _encode(obj: Any, level: int) -> str:
             return "{}"
         keys = sorted(obj)
         values = list(map(obj.__getitem__, keys))
-        body = _column(values) or map(_encode, values, repeat(level + 1))
-        items = map("%s: %s".__mod__, zip(map(encode_basestring, keys), body))
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
+        field, body = _column(values) or ("%s", map(_encode, values, repeat(level + 1)))
+        items = _fill("%s: " + field, len(keys), "," + inner, map(encode_basestring, keys), body)
+        return f"{{{inner}{items}{outer}}}"
     if kind is list or kind is tuple:
         if not obj:
             return "[]"
-        body = _column(obj) or _rows(obj, level + 1) or map(_encode, obj, repeat(level + 1))
-        return "[" + inner + ("," + inner).join(body) + outer + "]"
+        row, *columns = _column(obj) or _rows(obj, level + 1) or ("%s", map(_encode, obj, repeat(level + 1)))
+        return f"[{inner}{_fill(row, len(obj), ',' + inner, *columns)}{outer}]"
     # Floats, None, subclasses, non-str keys: JSON text holds no raw
     # newline, so indenting every line break places the subtree at `level`.
     text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
     return text.replace("\n", outer)
 
 
-def _column(values: Sequence[Any]) -> Iterator[str] | None:
-    """The rendered values when all share one scalar type, else None."""
+def _fill(row: str, count: int, sep: str, *columns: Iterable[Any]) -> str:
+    """`count` copies of the template `row`, joined by `sep` and filled in
+    order with one value from each column per row, `_CHUNK` rows per `%`."""
+    values = chain.from_iterable(zip(*columns))
+    full, tail = divmod(count, _CHUNK)
+    template = sep.join([row] * _CHUNK) if full else ""
+    chunks = [template % tuple(islice(values, _CHUNK * len(columns))) for _ in range(full)]
+    if tail:
+        chunks.append(sep.join([row] * tail) % tuple(values))
+    return sep.join(chunks)
+
+
+def _column(values: Sequence[Any]) -> tuple[str, Iterable[Any]] | None:
+    """The conversion and rendered column when all values share one scalar
+    type, else None."""
     kinds = set(map(type, values))
-    render = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-    return None if render is None else map(render, values)
+    if len(kinds) != 1 or (kind := kinds.pop()) not in _SCALARS:
+        return None
+    field, render = _SCALARS[kind]
+    return field, values if render is None else map(render, values)
 
 
-def _rows(items: Sequence[Any], level: int) -> Iterator[str] | None:
-    """Render rows at `level` with one %-template each when every item is a
+def _rows(items: Sequence[Any], level: int) -> tuple[Any, ...] | None:
+    """The row template at `level`, then its columns, when every item is a
     dict with the same str keys, or every item a list or tuple of the same
     length, and each column holds one scalar type; else None."""
     kinds = set(map(type, items))
@@ -111,22 +134,22 @@ def _rows(items: Sequence[Any], level: int) -> Iterator[str] | None:
         if set(map(type, items[0])) != {str}:
             return None
         keys: Sequence[Any] = sorted(items[0])
-        fields = [encode_basestring(k).replace("%", "%%") + ": %s" for k in keys]
+        prefixes = [encode_basestring(k).replace("%", "%%") + ": " for k in keys]
         brackets = "{}"
     else:
         keys = range(widths.pop())
-        fields = ["%s"] * len(keys)
+        prefixes = [""] * len(keys)
         brackets = "[]"
     try:  # equal sizes and the first row's keys make one key set
-        columns = [list(map(itemgetter(k), items)) for k in keys]
+        typed = [_column(list(map(itemgetter(k), items))) for k in keys]
     except KeyError:
         return None
-    rendered = list(map(_column, columns))
-    if None in rendered:
+    if None in typed:
         return None
+    fields, columns = zip(*typed)
     inner = "\n" + _INDENT * (level + 1)
-    template = brackets[0] + inner + ("," + inner).join(fields) + "\n" + _INDENT * level + brackets[1]
-    return map(template.__mod__, zip(*rendered))
+    row = brackets[0] + inner + ("," + inner).join(map(str.__add__, prefixes, fields))
+    return (row + "\n" + _INDENT * level + brackets[1], *columns)
 
 
 def graph_from_json(obj: Mapping[str, Any]) -> Graph:
@@ -294,12 +317,14 @@ def labeling_to_csv(g: Graph, labeling: Labeling) -> str:
 
 
 def labeling_from_csv(text: str, g: Graph) -> Labeling:
-    reader = csv.reader(_io.StringIO(text))
-    header = next(reader, None)
-    if header != ["edge_u", "edge_v", "label"]:
+    try:
+        rows = list(csv.reader(_io.StringIO(text)))
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise SpecError(f"labeling is not readable CSV: {exc}") from None
+    if rows[:1] != [["edge_u", "edge_v", "label"]]:
         raise SpecError("csv header must be edge_u,edge_v,label")
     entries = []
-    for row in filter(None, reader):
+    for row in filter(None, rows[1:]):
         try:
             u, v, label = map(int, row)
         except ValueError:

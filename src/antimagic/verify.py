@@ -10,9 +10,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .graphs import Graph, incident_edges
+from .graphs import Graph
 from .labeling import Labeling
 
 
@@ -63,15 +63,15 @@ def vertex_sums(
     if sorted(labels) != list(range(1, g.edge_count + 1)):
         raise NotABijection("labels are not a permutation of 1..|E|")
     sums = [0] * g.vertex_count
-    for edge_id, (u, v) in enumerate(g.edges):
-        sums[u] += labels[edge_id]
-        sums[v] += labels[edge_id]
-    by_sum: dict[int, list[int]] = {}
-    for v, s in enumerate(sums):
-        by_sum.setdefault(s, []).append(v)
-    groups = tuple(
-        tuple(vs) for s, vs in sorted(by_sum.items()) if len(vs) > 1
-    )
+    for (u, v), label in zip(g.edges, labels):
+        sums[u] += label
+        sums[v] += label
+    groups: tuple[tuple[int, ...], ...] = ()
+    if len(set(sums)) != len(sums):
+        by_sum: dict[int, list[int]] = {}
+        for v, s in enumerate(sums):
+            by_sum.setdefault(s, []).append(v)
+        groups = tuple(tuple(vs) for s, vs in sorted(by_sum.items()) if len(vs) > 1)
     verdicts = tuple(
         (name, sums[left] < sums[right]) for name, left, right in chain
     )
@@ -81,17 +81,6 @@ def vertex_sums(
         is_antimagic=not groups,
         chain=verdicts,
     )
-
-
-def partial_vertex_sum(g: Graph, partial: Mapping[int, int], v: int) -> int:
-    """Sum of the labels on v's labeled incident edges; 0 when none are.
-
-    ``partial`` maps edge ids to labels, which must be pairwise distinct.
-    """
-    values = list(partial.values())
-    if len(set(values)) != len(values):
-        raise ValueError("partial labels are not distinct")
-    return sum(partial[e] for e in incident_edges(g)[v] if e in partial)
 
 
 def brute_force_search(g: Graph, limit: int = 10) -> SearchOutcome:

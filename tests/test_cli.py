@@ -432,9 +432,12 @@ def test_unreadable_graph_or_labeling_is_input_error(capsys, tmp_path):
     not_utf8, deep = _unreadable_files(tmp_path)
     not_utf8_csv = tmp_path / "lab.csv"
     not_utf8_csv.write_bytes(b"edge_u,edge_v,label\n0,1,\xff\n")
-    runs = [("verify", p3, lab) for lab in (not_utf8, deep, not_utf8_csv)]
+    huge_field_csv = tmp_path / "huge.csv"  # over csv.field_size_limit()
+    huge_field_csv.write_text("edge_u,edge_v,label\n" + "1" * 200_000 + ",0,1\n")
+    labelings = (not_utf8, deep, not_utf8_csv, huge_field_csv)
+    runs = [("verify", p3, lab) for lab in labelings]
     runs += [("verify", g, p3) for g in (not_utf8, deep)]
-    runs += [("export", p3, "--labeling", lab) for lab in (not_utf8, deep, not_utf8_csv)]
+    runs += [("export", p3, "--labeling", lab) for lab in labelings]
     for argv in runs:
         code, out, err = run_cli(capsys, *map(str, argv))
         assert code == 65, argv

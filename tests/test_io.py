@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import OrderedDict
+from enum import IntEnum
 
 import pytest
 from hypothesis import example, given, settings
@@ -328,6 +329,53 @@ def test_canonical_dumps_matches_json_on_bulk_shapes(obj):
     nested = {"rows": obj, "deeper": [{"x": obj}]}
     assert aio.canonical_dumps(obj) == reference_dumps(obj)
     assert aio.canonical_dumps(nested) == reference_dumps(nested)
+
+
+K = aio._CHUNK
+WORDS = ["%", "%s", "%%d", "{}", "{0}", '"', 'a"%b', "\\", "\n", "\ud800", "\u00e9\u2603", "\u65e5\u672c"]
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+def _chunk_columns(count):
+    """One column of each kind, `count` values long: ints up to +-2**300,
+    bools, awkward strings and an IntEnum."""
+    return {
+        "%s": [(-1) ** i * 2 ** (i % 301) - (i % 2) for i in range(count)],
+        "{}": [i % 3 == 0 for i in range(count)],
+        "\u00e9%d": [WORDS[i % len(WORDS)] * (i % 3) for i in range(count)],
+        '"enum"': [Level(1 + i % 2) for i in range(count)],
+    }
+
+
+@pytest.mark.parametrize("count", [0, 1, K - 1, K, K + 1, 2 * K + 3])
+def test_canonical_dumps_matches_json_across_chunks(count):
+    columns = _chunk_columns(count)
+    ints, bools, strs, enums = columns.values()
+    plain = dict(list(columns.items())[:3])  # every column renders in bulk
+    docs = [
+        ints, bools, strs, enums,
+        [dict(zip(plain, row)) for row in zip(*plain.values())],
+        [dict(zip(columns, row)) for row in zip(*columns.values())],
+        [list(row) for row in zip(*plain.values())],
+        [tuple(row) for row in zip(*columns.values())],
+        [[i, b] for i, b in zip(ints, bools)],
+        {str(i): v for i, v in enumerate(ints)},
+        {f"%s{w}{i}": v for i, (w, v) in enumerate(zip(strs, bools))},
+        {f"k{i}": v for i, v in enumerate(enums)},
+    ]
+    if count:
+        at = count // 2
+        docs.append(ints[:at] + [True] + ints[at + 1:])  # one bool among ints
+        docs.append([[i, i if n != at else True] for n, i in enumerate(ints)])
+        docs.append([{"a": i, "b": s} if n != at else {"a": i, "c": s} for n, (i, s) in enumerate(zip(ints, strs))])
+    for doc in docs:
+        assert aio.canonical_dumps(doc) == reference_dumps(doc)
+        nested = {"rows": doc, "deeper": [{"x": doc}]}
+        assert aio.canonical_dumps(nested) == reference_dumps(nested)
 
 
 def test_canonical_dumps_matches_json_on_cli_documents():

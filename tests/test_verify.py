@@ -1,4 +1,4 @@
-"""Verifier: exact sums, duplicate groups, partial sums."""
+"""Verifier: exact sums and duplicate groups."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from antimagic import (
     Labeling,
     make_graph,
-    partial_vertex_sum,
     run_type2,
     vertex_sums,
 )
@@ -68,37 +67,13 @@ def test_chain_verdicts_are_reported():
     assert report.chain == (("w(a)<w(b)", True), ("w(b)<w(a)", False))
 
 
-def test_partial_sum_empty_is_zero():
-    c3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-    assert partial_vertex_sum(c3, {}, 0) == 0
-
-
-def test_partial_sum_counts_only_labeled_edges():
-    c3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-    assert partial_vertex_sum(c3, {0: 5}, 0) == 5
-    assert partial_vertex_sum(c3, {0: 5}, 2) == 0
-
-
-def test_partial_sum_matches_spider_p2_tip(spider_p2):
-    # After the first block's internal edge and tip fan are labeled, the tip
-    # x2 carries 2 + 3 = 5.
-    comp = spider_p2.composite
-    pairs = {e: i for i, e in enumerate(comp.edges)}
-    block1 = spider_p2.block(1)
-    partial = {pairs[min(2, v), max(2, v)]: 1 + j for j, v in enumerate(block1.vertex_ids, start=1)}
-    partial[block1.edge_ids[0]] = 1
-    assert partial_vertex_sum(comp, partial, 2) == 5
-
-
-def test_partial_sum_rejects_duplicate_labels():
-    c3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-    with pytest.raises(ValueError):
-        partial_vertex_sum(c3, {0: 1, 1: 1}, 0)
-
-
 def test_full_partial_equals_vertex_sums(spider_p2):
     labeling = run_type2(spider_p2).labeling
-    full = {i: lab for i, lab in enumerate(labeling.labels)}
-    report = vertex_sums(spider_p2.composite, labeling)
-    for v in range(spider_p2.composite.vertex_count):
-        assert partial_vertex_sum(spider_p2.composite, full, v) == report.sums[v]
+    comp = spider_p2.composite
+    expected = [0] * comp.vertex_count
+    for (u, v), label in zip(comp.edges, labeling.labels, strict=True):
+        expected[u] += label
+        expected[v] += label
+    report = vertex_sums(comp, labeling)
+    assert report.sums == tuple(expected)
+    assert report.is_antimagic == (len(set(expected)) == len(expected))
