@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from antimagic.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -224,6 +226,45 @@ def test_export_dot_with_labeling(capsys, tmp_path):
     )
     assert code == 0
     assert "w=3" in out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "dot"])
+def test_export_matches_label_output(capsys, tmp_path, fmt):
+    """export of a built composite with the labeling label wrote gives the
+    bytes label writes in that format."""
+    spec = str(FIXTURES / "spider_p4.json")
+    graph = tmp_path / "graph.json"
+    assert run_cli(capsys, "build", spec, "--graph-out", str(graph))[0] == 0
+    assert run_cli(capsys, "label", spec, "--out", str(tmp_path / "j"))[0] == 0
+    assert run_cli(capsys, "label", spec, "--out", str(tmp_path / "f"), "--format", fmt)[0] == 0
+    code, out, _ = run_cli(
+        capsys, "export", str(graph), "--format", fmt, "--labeling", str(tmp_path / "j.labeling.json")
+    )
+    assert code == 0
+    assert out == (tmp_path / f"f.labeling.{fmt}").read_text(encoding="utf-8")
+
+
+def test_export_json_is_label_output_without_roles(capsys, tmp_path):
+    spec = str(FIXTURES / "spider_p4.json")
+    graph = tmp_path / "graph.json"
+    assert run_cli(capsys, "build", spec, "--graph-out", str(graph))[0] == 0
+    assert run_cli(capsys, "label", spec, "--out", str(tmp_path / "j"))[0] == 0
+    labeled = tmp_path / "j.labeling.json"
+    code, out, _ = run_cli(capsys, "export", str(graph), "--labeling", str(labeled))
+    assert code == 0
+    expected = json.loads(labeled.read_text(encoding="utf-8"))
+    for edge in expected["edges"]:
+        del edge["role"]
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+def test_export_csv_without_labeling_is_input_error(capsys, tmp_path):
+    c3 = tmp_path / "c3.json"
+    c3.write_text(json.dumps({"kind": "C", "params": [3]}))
+    code, out, err = run_cli(capsys, "export", str(c3), "--format", "csv")
+    assert code == 65
+    assert out == ""
+    assert err == "error: csv export needs --labeling\n"
 
 
 def test_export_dot_escapes_names(capsys, tmp_path):

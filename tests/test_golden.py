@@ -3,7 +3,9 @@ the full labeling evidence over a fixed instance list.
 
 The golden files under tests/golden/ and DIGEST were produced by the code
 before the labeling schedules were rewritten; any change to a label, a
-ranking, a chain link, an offset or a condition shows up here.
+ranking, a chain link, an offset or a condition shows up here. The csv and
+dot label goldens were produced by the code before `label` and `export`
+shared one renderer.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ CLI_CASES = [
     (["label", "pan_r5.json"], "label_pan_r5", 0),
     (["label", "spider_p2.json"], "label_spider_p2", 0),
     (["label", "spider_p4.json"], "label_spider_p4", 0),
+    (["label", "spider_p4.json", "--format", "csv"], "label_csv_spider_p4", 0),
+    (["label", "spider_p4.json", "--format", "dot"], "label_dot_spider_p4", 0),
     (["label", "violating.json", "--force"], "label_force_violating", 2),
 ]
 

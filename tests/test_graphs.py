@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from antimagic import degree_profile, is_connected, make_graph, preset_graph
@@ -126,3 +128,72 @@ def test_is_connected():
     assert is_connected(make_graph(3, [(0, 1), (1, 2)]))
     assert not is_connected(make_graph(4, [(0, 1), (2, 3)]))
     assert is_connected(make_graph(1, []))
+
+
+PRESET_DIGEST_KINDS = (
+    "path",
+    "cycle",
+    "complete",
+    "star",
+    "complete_bipartite",
+    "diamond",
+    "pan",
+    "spider",
+    "hexagon",
+    ["K"],
+    3,
+    None,
+    {"a": 1},
+)
+
+
+def preset_cases():
+    """Every kind above with no parameter, with each of 0..12, and with each
+    pair of them."""
+    singles = [[n] for n in range(13)]
+    pairs = [[a, b] for a in range(13) for b in range(13)]
+    for kind in PRESET_DIGEST_KINDS:
+        for params in [[], *singles, *pairs]:
+            yield kind, params
+
+
+def preset_outcome(kind, params):
+    try:
+        g = preset_graph(kind, params)
+    except BadParams as exc:
+        return ("BadParams", str(exc))
+    return (g.vertex_count, g.edges, g.names)
+
+
+# Made from the hand-written preset families before they became one table.
+PRESET_DIGEST = "949dc4a5ce08afa3ae1ddab43ace40871e8c08280566e3900d9cb7eab7537b8b"
+
+
+def test_preset_digest():
+    h = hashlib.sha256()
+    for kind, params in preset_cases():
+        h.update(repr((kind, params, preset_outcome(kind, params))).encode())
+    assert h.hexdigest() == PRESET_DIGEST
+
+
+def test_preset_messages():
+    assert preset_outcome("complete_bipartite", [0, 3]) == (
+        "BadParams",
+        "complete_bipartite needs a, b >= 1",
+    )
+    assert preset_outcome("diamond", [1]) == ("BadParams", "diamond expects 0 parameter(s), got 1")
+    assert preset_outcome("spider", []) == ("BadParams", "spider expects 1 parameter(s), got 0")
+    assert preset_outcome("pan", [2]) == ("BadParams", "pan needs r >= 3")
+    assert preset_outcome(["K"], [3]) == ("BadParams", "unknown preset kind ['K']")
+    assert preset_outcome({"a": 1}, []) == ("BadParams", "unknown preset kind {'a': 1}")
+
+
+def test_complete_bipartite_edges():
+    assert preset_graph("complete_bipartite", [2, 3]).edges == (
+        (0, 2),
+        (0, 3),
+        (0, 4),
+        (1, 2),
+        (1, 3),
+        (1, 4),
+    )

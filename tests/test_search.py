@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antimagic import (
+    Labeling,
+    SearchOutcome,
     Status,
     brute_force_search,
     make_graph,
@@ -45,6 +47,17 @@ def test_k2_exhausted():
     outcome = brute_force_search(preset_graph("complete", [2]))
     assert outcome.status is Status.EXHAUSTED_NONE
     assert outcome.labeling is None
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_edgeless_graphs(n):
+    """No edge, so no label: at most one vertex is antimagic with the empty
+    labeling, and two isolated vertices both have the sum 0."""
+    outcome = brute_force_search(make_graph(n, []))
+    if n <= 1:
+        assert outcome == SearchOutcome(Status.FOUND, Labeling((), 0), 0)
+    else:
+        assert outcome == SearchOutcome(Status.EXHAUSTED_NONE, None, 0)
 
 
 def test_p3_found():
