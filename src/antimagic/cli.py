@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from . import io as aio
 from .conditions import check_conditions
@@ -38,10 +39,8 @@ def main(argv: list[str] | None = None) -> int:
     except NotABijection as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_LABELING
-    except (aio.SpecError, GraphError, CoronaError, LabelingError, TooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (aio.SpecError, GraphError, CoronaError, LabelingError, TooLarge, OSError,
+            json.JSONDecodeError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
@@ -156,9 +155,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     print(f"{summary['vertices']} vertices, {summary['edges']} edges")
     _emit(aio.canonical_dumps(summary), args.out)
     if args.graph_out is not None:
-        args.graph_out.write_text(
-            aio.canonical_dumps(aio.graph_to_json(inst.composite)), encoding="utf-8"
-        )
+        _emit(aio.canonical_dumps(aio.graph_to_json(inst.composite)), args.graph_out)
     return EXIT_OK
 
 
@@ -167,16 +164,7 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
     report = check_conditions(inst)
     payload = {
         "overall": report.overall,
-        "conditions": [
-            {
-                "id": c.id,
-                "description": c.description,
-                "lhs": c.lhs,
-                "rhs": c.rhs,
-                "holds": c.holds,
-            }
-            for c in report.conditions
-        ],
+        "conditions": [c._asdict() for c in report.conditions],
     }
     sys.stdout.write(aio.canonical_dumps(payload))
     return EXIT_OK if report.overall else EXIT_CONDITIONS
@@ -189,26 +177,16 @@ def _cmd_label(args: argparse.Namespace) -> int:
     chain_spec = [(c.name, c.left, c.right) for c in run.chain]
     report = vertex_sums(inst.composite, run.labeling, chain=chain_spec)
 
-    if args.format == "json":
-        labeling_text = aio.canonical_dumps(
-            aio.labeling_to_json(inst.composite, run.labeling, inst.edge_roles, report.sums)
-        )
-        ext = "json"
-    elif args.format == "csv":
-        labeling_text = aio.labeling_to_csv(inst.composite, run.labeling)
-        ext = "csv"
-    else:
-        labeling_text = aio.to_dot(inst.composite, run.labeling, report.sums)
-        ext = "dot"
+    roles = inst.edge_roles if args.format == "json" else None
+    labeling_text = _render(args.format, inst.composite, run.labeling, roles, report.sums)
     report_text = aio.canonical_dumps(aio.sum_report_to_json(inst.composite, report))
 
     if args.out is not None:
-        Path(f"{args.out}.labeling.{ext}").write_text(labeling_text, encoding="utf-8")
+        Path(f"{args.out}.labeling.{args.format}").write_text(labeling_text, encoding="utf-8")
         Path(f"{args.out}.report.json").write_text(report_text, encoding="utf-8")
-        sys.stdout.write(report_text)
     else:
         sys.stdout.write(labeling_text)
-        sys.stdout.write(report_text)
+    sys.stdout.write(report_text)
     if report.is_antimagic:
         return EXIT_OK
     return EXIT_FORCED_DUPLICATES
@@ -247,19 +225,28 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if args.labeling is not None:
         labeling = _load_labeling(args.labeling, g)
         sums = vertex_sums(g, labeling).sums
-    if args.format == "json":
+    _emit(_render(args.format, g, labeling, None, sums), args.out)
+    return EXIT_OK
+
+
+def _render(
+    fmt: str,
+    g: Graph,
+    labeling: Labeling | None,
+    roles: Sequence[str] | None,
+    sums: Sequence[int] | None,
+) -> str:
+    """g and its labeling as a json, csv or dot document. Without a labeling,
+    json is the graph descriptor and csv is an input error."""
+    if fmt == "json":
         if labeling is None:
-            text = aio.canonical_dumps(aio.graph_to_json(g))
-        else:
-            text = aio.canonical_dumps(aio.labeling_to_json(g, labeling, sums=sums))
-    elif args.format == "csv":
+            return aio.canonical_dumps(aio.graph_to_json(g))
+        return aio.canonical_dumps(aio.labeling_to_json(g, labeling, roles, sums))
+    if fmt == "csv":
         if labeling is None:
             raise aio.SpecError("csv export needs --labeling")
-        text = aio.labeling_to_csv(g, labeling)
-    else:
-        text = aio.to_dot(g, labeling, sums)
-    _emit(text, args.out)
-    return EXIT_OK
+        return aio.labeling_to_csv(g, labeling)
+    return aio.to_dot(g, labeling, sums)
 
 
 if __name__ == "__main__":

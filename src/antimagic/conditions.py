@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .corona import CoronaInstance, PanType1
-from .graphs import degree_profile
+from .graphs import degree_profile, spider_leg_vertex
 
 
 class Condition(NamedTuple):
@@ -93,19 +93,19 @@ def _spider_conditions(inst: CoronaInstance, p: int) -> list[Condition]:
     """T42 for p = 2, T43 for p >= 3."""
     comp_deg = _base_degrees(inst)
     general = p > 2
-    # The leg tips x_p, y_p, z_p sit at ids p, 2p, 3p.
     tip_id = "T43-ii-{}" if general else "T42-deg-{}2"
     out = [
         *_size_chain(inst, "T43-size-{}" if general else "T42-size-{}", range(1, 3 * p)),
         *_degree_chain(inst, "T43-i-{}" if general else "T42-chain-{}", range(1, 3 * p)),
         *(
-            _tip_link(inst, comp_deg, tip_id.format(leg), "of leg tip", k * p, k + 1)
-            for k, leg in enumerate("xyz", start=1)
+            _tip_link(inst, comp_deg, tip_id.format(name), "of leg tip",
+                      spider_leg_vertex(p, leg, p), leg + 2)
+            for leg, name in enumerate("xyz")
         ),
     ]
     if general:
         # The block adjacent to z1 and z2 is H(3p-3); the block adjacent to
-        # x1 and v0 is H(3p-2). z2 sits at id 2p + 2.
+        # x1 and v0 is H(3p-2).
         out += [
             _cond(
                 "T43-iii",
@@ -113,7 +113,7 @@ def _spider_conditions(inst: CoronaInstance, p: int) -> list[Condition]:
                 degree_profile(inst.block(3 * p - 3).graph).max_degree + 2,
                 inst.block(4).graph.vertex_count + 1,
             ),
-            _tip_link(inst, comp_deg, "T43-iv", "z2", 2 * p + 2, 3 * p - 2),
+            _tip_link(inst, comp_deg, "T43-iv", "z2", spider_leg_vertex(p, 2, 2), 3 * p - 2),
         ]
     return out
 

@@ -169,7 +169,7 @@ def _assemble(
     attachments: tuple[Graph, ...],
     first_block: int,
 ) -> CoronaInstance:
-    names = list(base.names or (str(i) for i in range(base.vertex_count)))
+    names = list(base.names)
     edges = list(base.edges)
 
     # "0", "1", ...: the suffixes of the block vertex names.

@@ -3,12 +3,19 @@
 Edge sequences are ordered: the labeling constructions hand out consecutive
 labels along a graph's edge order, so the order is part of each preset's
 contract, not an implementation detail.
+
+The preset families are one table, `_PRESETS`, that maps each kind to its
+parameter names, the least value every parameter may take, and a builder
+that returns the graph through `make_graph`. `preset_graph` looks the kind
+up, checks the parameter count and the least value, and calls the builder;
+every `BadParams` message is made from the table entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import combinations, pairwise, product
+from typing import Callable, Iterable, Sequence
 
 
 class GraphError(ValueError):
@@ -138,18 +145,6 @@ def is_connected(g: Graph) -> bool:
     return g._connected
 
 
-PRESET_KINDS = (
-    "path",
-    "cycle",
-    "complete",
-    "star",
-    "complete_bipartite",
-    "diamond",
-    "pan",
-    "spider",
-)
-
-
 def preset_graph(kind: str, params: Sequence[int] = ()) -> Graph:
     """Build a named preset with its canonical edge order.
 
@@ -159,61 +154,50 @@ def preset_graph(kind: str, params: Sequence[int] = ()) -> Graph:
     order edges so that edge i is the attachment site of block i in the
     corona constructions.
     """
-    params = list(params)
-    if kind == "path":
-        (n,) = _expect_params(kind, params, 1)
-        if n < 1:
-            raise BadParams("path needs n >= 1")
-        return make_graph(n, [(i, i + 1) for i in range(n - 1)])
-    if kind == "cycle":
-        (n,) = _expect_params(kind, params, 1)
-        if n < 3:
-            raise BadParams("cycle needs n >= 3")
-        edges = sorted([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
-        return make_graph(n, edges)
-    if kind == "complete":
-        (n,) = _expect_params(kind, params, 1)
-        if n < 1:
-            raise BadParams("complete needs n >= 1")
-        return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if kind == "star":
-        (n,) = _expect_params(kind, params, 1)
-        if n < 2:
-            raise BadParams("star needs n >= 2")
-        return make_graph(n, [(0, i) for i in range(1, n)])
-    if kind == "complete_bipartite":
-        a, b = _expect_params(kind, params, 2)
-        if a < 1 or b < 1:
-            raise BadParams("complete_bipartite needs a, b >= 1")
-        return make_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-    if kind == "diamond":
-        _expect_params(kind, params, 0)
-        return make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    if kind == "pan":
-        (r,) = _expect_params(kind, params, 1)
-        if r < 3:
-            raise BadParams("pan needs r >= 3")
-        edges = [(0, r), (1, 2)]
-        edges += [(i, i + 2) for i in range(1, r - 1)]
-        edges += [(r - 1, r)]
-        names = tuple(f"u{i}" for i in range(r + 1))
-        return make_graph(r + 1, edges, names)
-    if kind == "spider":
-        (p,) = _expect_params(kind, params, 1)
-        if p < 1:
-            raise BadParams("spider needs p >= 1")
-        edges = []
-        for t in range(1, 3 * p + 1):
-            leg = (t - 1) % 3
-            depth = (t - 1) // 3
-            a = spider_leg_vertex(p, leg, p - depth)
-            b = spider_leg_vertex(p, leg, p - depth - 1)
-            edges.append((min(a, b), max(a, b)))
-        names = ["v0"]
-        for prefix in ("x", "y", "z"):
-            names += [f"{prefix}{k}" for k in range(1, p + 1)]
-        return make_graph(3 * p + 1, edges, names)
-    raise BadParams(f"unknown preset kind {kind!r}")
+    preset = _PRESETS.get(kind) if isinstance(kind, str) else None
+    if preset is None:
+        raise BadParams(f"unknown preset kind {kind!r}")
+    names, minimum, build = preset
+    params = tuple(params)
+    if len(params) != len(names):
+        raise BadParams(f"{kind} expects {len(names)} parameter(s), got {len(params)}")
+    if min(params, default=minimum) < minimum:
+        raise BadParams(f"{kind} needs {', '.join(names)} >= {minimum}")
+    return build(*params)
+
+
+def _pan(r: int) -> Graph:
+    edges = [(0, r), (1, 2)]
+    edges += [(i, i + 2) for i in range(1, r - 1)]
+    edges += [(r - 1, r)]
+    return make_graph(r + 1, edges, [f"u{i}" for i in range(r + 1)])
+
+
+def _spider(p: int) -> Graph:
+    edges = [
+        (spider_leg_vertex(p, leg, depth - 1), spider_leg_vertex(p, leg, depth))
+        for depth in range(p, 0, -1)
+        for leg in range(3)
+    ]
+    names = ["v0"]
+    for prefix in ("x", "y", "z"):
+        names += [f"{prefix}{k}" for k in range(1, p + 1)]
+    return make_graph(3 * p + 1, edges, names)
+
+
+# kind -> (parameter names, least value of every parameter, builder)
+_PRESETS: dict[str, tuple[tuple[str, ...], int, Callable[..., Graph]]] = {
+    "path": (("n",), 1, lambda n: make_graph(n, pairwise(range(n)))),
+    "cycle": (("n",), 3, lambda n: make_graph(n, sorted([*pairwise(range(n)), (0, n - 1)]))),
+    "complete": (("n",), 1, lambda n: make_graph(n, combinations(range(n), 2))),
+    "star": (("n",), 2, lambda n: make_graph(n, [(0, i) for i in range(1, n)])),
+    "complete_bipartite": (
+        ("a", "b"), 1, lambda a, b: make_graph(a + b, product(range(a), range(a, a + b)))
+    ),
+    "diamond": ((), 0, lambda: make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])),
+    "pan": (("r",), 3, _pan),
+    "spider": (("p",), 1, _spider),
+}
 
 
 def spider_leg_vertex(p: int, leg: int, depth: int) -> int:
@@ -221,9 +205,3 @@ def spider_leg_vertex(p: int, leg: int, depth: int) -> int:
     if depth == 0:
         return 0
     return leg * p + depth
-
-
-def _expect_params(kind: str, params: list[int], count: int) -> list[int]:
-    if len(params) != count:
-        raise BadParams(f"{kind} expects {count} parameter(s), got {len(params)}")
-    return params

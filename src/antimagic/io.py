@@ -158,7 +158,10 @@ def graph_from_json(obj: Mapping[str, Any]) -> Graph:
     if not isinstance(obj, Mapping):
         raise SpecError("graph descriptor must be an object")
     if "kind" in obj:
-        kind = PRESET_ALIASES.get(obj["kind"], obj["kind"])
+        kind = obj["kind"]
+        if not isinstance(kind, str):
+            raise SpecError(f"kind must be a string, got {kind!r}")
+        kind = PRESET_ALIASES.get(kind, kind)
         params = obj.get("params", [])
         if not isinstance(params, list) or not set(map(type, params)) <= {int}:
             raise SpecError("params must be a list of integers")

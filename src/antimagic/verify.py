@@ -10,9 +10,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from typing import Iterable, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, degree_profile
 from .labeling import Labeling
 
 
@@ -62,10 +63,7 @@ def vertex_sums(
         )
     if sorted(labels) != list(range(1, g.edge_count + 1)):
         raise NotABijection("labels are not a permutation of 1..|E|")
-    sums = [0] * g.vertex_count
-    for (u, v), label in zip(g.edges, labels):
-        sums[u] += label
-        sums[v] += label
+    sums = _sums(g, labels)
     groups: tuple[tuple[int, ...], ...] = ()
     if len(set(sums)) != len(sums):
         by_sum: dict[int, list[int]] = {}
@@ -83,6 +81,15 @@ def vertex_sums(
     )
 
 
+def _sums(g: Graph, labels: Sequence[int]) -> list[int]:
+    """The sum of the labels on the edges at each vertex of g."""
+    sums = [0] * g.vertex_count
+    for (u, v), label in zip(g.edges, labels):
+        sums[u] += label
+        sums[v] += label
+    return sums
+
+
 def brute_force_search(g: Graph, limit: int = 10) -> SearchOutcome:
     """Exhaustive backtracking over label permutations.
 
@@ -95,14 +102,7 @@ def brute_force_search(g: Graph, limit: int = 10) -> SearchOutcome:
     m = g.edge_count
     if m > limit:
         raise TooLarge(f"|E| = {m} exceeds the exhaustive cap {limit}")
-    if m == 0:
-        status = Status.FOUND if g.vertex_count <= 1 else Status.EXHAUSTED_NONE
-        return SearchOutcome(status, Labeling((), 0) if status is Status.FOUND else None, 0)
-
-    remaining = [0] * g.vertex_count
-    for u, v in g.edges:
-        remaining[u] += 1
-        remaining[v] += 1
+    remaining = list(degree_profile(g).degrees)
     sums = [0] * g.vertex_count
     finished: set[int] = set()
     # Isolated vertices are final immediately; two of them share the sum 0
@@ -171,10 +171,7 @@ def random_search(g: Graph, budget: int, seed: int) -> SearchOutcome:
     examined = 0
 
     def collisions(labels: Sequence[int]) -> int:
-        sums = [0] * g.vertex_count
-        for edge_id, (u, v) in enumerate(g.edges):
-            sums[u] += labels[edge_id]
-            sums[v] += labels[edge_id]
+        sums = _sums(g, labels)
         return len(sums) - len(set(sums))
 
     while examined < budget:
@@ -185,18 +182,15 @@ def random_search(g: Graph, budget: int, seed: int) -> SearchOutcome:
         improved = True
         while score > 0 and improved and examined < budget:
             improved = False
-            for i in range(m):
-                for j in range(i + 1, m):
+            for i, j in combinations(range(m), 2):
+                labels[i], labels[j] = labels[j], labels[i]
+                examined += 1
+                trial = collisions(labels)
+                if trial < score:
+                    score = trial
+                    improved = True
+                else:
                     labels[i], labels[j] = labels[j], labels[i]
-                    examined += 1
-                    trial = collisions(labels)
-                    if trial < score:
-                        score = trial
-                        improved = True
-                    else:
-                        labels[i], labels[j] = labels[j], labels[i]
-                    if score == 0 or examined >= budget:
-                        break
                 if score == 0 or examined >= budget:
                     break
         if score == 0:

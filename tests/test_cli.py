@@ -496,6 +496,18 @@ def test_boolean_params_is_input_error(capsys, tmp_path):
     assert err == "error: params must be a list of integers\n"
 
 
+@pytest.mark.parametrize("kind", [["K"], {"a": 1}, 3, None], ids=["list", "dict", "int", "null"])
+def test_non_string_kind_is_input_error(capsys, tmp_path, kind):
+    spec = json.loads((FIXTURES / "spider_p2.json").read_text())
+    spec["attachments"][0] = {"kind": kind, "params": [2]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "build", str(path))
+    assert code == 65
+    assert out == ""
+    assert err == f"error: kind must be a string, got {kind!r}\n"
+
+
 def test_search_help_documents_exhaustive_growth(capsys):
     try:
         main(["search", "--help"])

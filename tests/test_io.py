@@ -58,6 +58,13 @@ def test_bad_graph_descriptors(obj):
         aio.graph_from_json(obj)
 
 
+@pytest.mark.parametrize("kind", [["K"], {"a": 1}, 3, None], ids=["list", "dict", "int", "null"])
+def test_non_string_kind(kind):
+    with pytest.raises(aio.SpecError) as exc:
+        aio.graph_from_json({"kind": kind, "params": [3]})
+    assert str(exc.value) == f"kind must be a string, got {kind!r}"
+
+
 def test_instance_descriptor_round_trip(spider_p2):
     spec = {
         "base": {"type": "spider", "param": 2},
