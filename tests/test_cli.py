@@ -228,10 +228,10 @@ def test_export_dot_with_labeling(capsys, tmp_path):
     assert "w=3" in out
 
 
-@pytest.mark.parametrize("fmt", ["csv", "dot"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
 def test_export_matches_label_output(capsys, tmp_path, fmt):
-    """export of a built composite with the labeling label wrote gives the
-    bytes label writes in that format."""
+    """export of a built composite with the JSON labeling label wrote gives
+    the bytes label writes in that format, less the edge roles."""
     spec = str(FIXTURES / "spider_p4.json")
     graph = tmp_path / "graph.json"
     assert run_cli(capsys, "build", spec, "--graph-out", str(graph))[0] == 0
@@ -241,21 +241,13 @@ def test_export_matches_label_output(capsys, tmp_path, fmt):
         capsys, "export", str(graph), "--format", fmt, "--labeling", str(tmp_path / "j.labeling.json")
     )
     assert code == 0
-    assert out == (tmp_path / f"f.labeling.{fmt}").read_text(encoding="utf-8")
-
-
-def test_export_json_is_label_output_without_roles(capsys, tmp_path):
-    spec = str(FIXTURES / "spider_p4.json")
-    graph = tmp_path / "graph.json"
-    assert run_cli(capsys, "build", spec, "--graph-out", str(graph))[0] == 0
-    assert run_cli(capsys, "label", spec, "--out", str(tmp_path / "j"))[0] == 0
-    labeled = tmp_path / "j.labeling.json"
-    code, out, _ = run_cli(capsys, "export", str(graph), "--labeling", str(labeled))
-    assert code == 0
-    expected = json.loads(labeled.read_text(encoding="utf-8"))
-    for edge in expected["edges"]:
-        del edge["role"]
-    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    expected = (tmp_path / f"f.labeling.{fmt}").read_text(encoding="utf-8")
+    if fmt == "json":
+        doc = json.loads(expected)
+        for edge in doc["edges"]:
+            del edge["role"]
+        expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert out == expected
 
 
 def test_export_csv_without_labeling_is_input_error(capsys, tmp_path):
