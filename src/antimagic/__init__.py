@@ -18,6 +18,7 @@ from .corona import (
 from .graphs import (
     DegreeProfile,
     Graph,
+    Labeling,
     degree_profile,
     is_connected,
     make_graph,
@@ -25,7 +26,6 @@ from .graphs import (
 )
 from .labeling import (
     ChainCheck,
-    Labeling,
     LabelingRun,
     RankedBlock,
     rank_by_partial_sums,

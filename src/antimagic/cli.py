@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success or antimagic, 1 verified not
 antimagic or search exhausted or budget spent, 2 forced run with duplicate
-sums, 3 conditions unmet, 4 malformed labeling, 65 malformed input.
+sums, 3 conditions unmet, 4 malformed labeling, 65 malformed input or
+input too large to hold in memory.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Sequence
 from . import io as aio
 from .conditions import check_conditions
 from .corona import CoronaError
-from .graphs import Graph, GraphError, degree_profile
-from .labeling import ConditionsNotMet, Labeling, LabelingError, run_type1, run_type2
+from .graphs import Graph, GraphError, Labeling, degree_profile
+from .labeling import ConditionsNotMet, LabelingError, run_type1, run_type2
 from .verify import NotABijection, Status, TooLarge, brute_force_search, random_search, vertex_sums
 
 EXIT_OK = 0
@@ -42,6 +43,9 @@ def main(argv: list[str] | None = None) -> int:
     except (aio.SpecError, GraphError, CoronaError, LabelingError, TooLarge, OSError,
             json.JSONDecodeError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except (MemoryError, OverflowError) as exc:  # such as a huge "vertices" count
+        print(f"error: input too large: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -1,14 +1,18 @@
-"""Immutable simple graphs, canonical preset families, and degree computations.
+"""Immutable simple graphs, labelings, canonical preset families, and
+degree computations.
 
 Edge sequences are ordered: the labeling constructions hand out consecutive
 labels along a graph's edge order, so the order is part of each preset's
 contract, not an implementation detail.
 
-The preset families are one table, `_PRESETS`, that maps each kind to its
-parameter names, the least value every parameter may take, and a builder
-that returns the graph through `make_graph`. `preset_graph` looks the kind
-up, checks the parameter count and the least value, and calls the builder;
-every `BadParams` message is made from the table entry.
+`make_graph` is the validating constructor, for edges that come from
+outside the program. The preset families are one table, `_PRESETS`, that
+maps each kind to its parameter names, the least value every parameter may
+take, and a builder that constructs the `Graph` directly: its edges are
+canonical, distinct and in range by construction, so they need no second
+check. `preset_graph` looks the kind up, checks the parameter count, type
+and least value, and calls the builder; every `BadParams` message is made
+from the table entry.
 """
 
 from __future__ import annotations
@@ -64,6 +68,16 @@ class Graph:
         if self.names is not None:
             return self.names[v]
         return str(v)
+
+
+@dataclass(frozen=True)
+class Labeling:
+    """Edge labels by edge id. Constructions always emit a bijection onto
+    {1..total_edges}; the verifier re-checks rather than trusting this.
+    """
+
+    labels: tuple[int, ...]
+    total_edges: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,6 +175,8 @@ def preset_graph(kind: str, params: Sequence[int] = ()) -> Graph:
     params = tuple(params)
     if len(params) != len(names):
         raise BadParams(f"{kind} expects {len(names)} parameter(s), got {len(params)}")
+    if not set(map(type, params)) <= {int}:
+        raise BadParams(f"{kind} needs integer {', '.join(names)}")
     if min(params, default=minimum) < minimum:
         raise BadParams(f"{kind} needs {', '.join(names)} >= {minimum}")
     return build(*params)
@@ -170,31 +186,31 @@ def _pan(r: int) -> Graph:
     edges = [(0, r), (1, 2)]
     edges += [(i, i + 2) for i in range(1, r - 1)]
     edges += [(r - 1, r)]
-    return make_graph(r + 1, edges, [f"u{i}" for i in range(r + 1)])
+    return Graph(r + 1, tuple(edges), tuple(f"u{i}" for i in range(r + 1)))
 
 
 def _spider(p: int) -> Graph:
-    edges = [
+    edges = tuple(
         (spider_leg_vertex(p, leg, depth - 1), spider_leg_vertex(p, leg, depth))
         for depth in range(p, 0, -1)
         for leg in range(3)
-    ]
+    )
     names = ["v0"]
     for prefix in ("x", "y", "z"):
         names += [f"{prefix}{k}" for k in range(1, p + 1)]
-    return make_graph(3 * p + 1, edges, names)
+    return Graph(3 * p + 1, edges, tuple(names))
 
 
 # kind -> (parameter names, least value of every parameter, builder)
 _PRESETS: dict[str, tuple[tuple[str, ...], int, Callable[..., Graph]]] = {
-    "path": (("n",), 1, lambda n: make_graph(n, pairwise(range(n)))),
-    "cycle": (("n",), 3, lambda n: make_graph(n, sorted([*pairwise(range(n)), (0, n - 1)]))),
-    "complete": (("n",), 1, lambda n: make_graph(n, combinations(range(n), 2))),
-    "star": (("n",), 2, lambda n: make_graph(n, [(0, i) for i in range(1, n)])),
+    "path": (("n",), 1, lambda n: Graph(n, tuple(pairwise(range(n))))),
+    "cycle": (("n",), 3, lambda n: Graph(n, tuple(sorted([*pairwise(range(n)), (0, n - 1)])))),
+    "complete": (("n",), 1, lambda n: Graph(n, tuple(combinations(range(n), 2)))),
+    "star": (("n",), 2, lambda n: Graph(n, tuple((0, i) for i in range(1, n)))),
     "complete_bipartite": (
-        ("a", "b"), 1, lambda a, b: make_graph(a + b, product(range(a), range(a, a + b)))
+        ("a", "b"), 1, lambda a, b: Graph(a + b, tuple(product(range(a), range(a, a + b))))
     ),
-    "diamond": ((), 0, lambda: make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])),
+    "diamond": ((), 0, lambda: Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))),
     "pan": (("r",), 3, _pan),
     "spider": (("p",), 1, _spider),
 }

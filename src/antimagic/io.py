@@ -25,8 +25,7 @@ from operator import itemgetter
 from typing import Any, Iterable, Mapping, Sequence
 
 from .corona import CoronaInstance, build_type1, build_type2, normalize_attachments
-from .graphs import Graph, make_graph, preset_graph
-from .labeling import Labeling
+from .graphs import Graph, Labeling, make_graph, preset_graph
 from .verify import NotABijection, SumReport
 
 PRESET_ALIASES = {
@@ -185,12 +184,11 @@ def graph_from_json(obj: Mapping[str, Any]) -> Graph:
 
 
 def graph_to_json(g: Graph) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "vertices": g.vertex_count,
-        "edges": [[u, v] for u, v in g.edges],
-    }
+    """The graph descriptor of g. Edges and names are g's own tuples, which
+    `canonical_dumps` writes exactly as lists."""
+    out: dict[str, Any] = {"vertices": g.vertex_count, "edges": list(g.edges)}
     if g.names is not None:
-        out["names"] = list(g.names)
+        out["names"] = g.names
     return out
 
 
@@ -311,12 +309,10 @@ def labeling_from_json(obj: Mapping[str, Any], g: Graph) -> Labeling:
 
 
 def labeling_to_csv(g: Graph, labeling: Labeling) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["edge_u", "edge_v", "label"])
-    for edge_id, (u, v) in enumerate(g.edges):
-        writer.writerow([u, v, labeling.labels[edge_id]])
-    return buf.getvalue()
+    """The labeling as CSV rows edge_u,edge_v,label, each value written as
+    `str` writes it, which is what `csv.writer` writes for an integer."""
+    us, vs = map(itemgetter(0), g.edges), map(itemgetter(1), g.edges)
+    return "edge_u,edge_v,label\n" + _fill("%s,%s,%s\n", g.edge_count, "", us, vs, labeling.labels)
 
 
 def labeling_from_csv(text: str, g: Graph) -> Labeling:
@@ -364,7 +360,7 @@ def sum_report_to_json(g: Graph, report: SumReport) -> dict[str, Any]:
     out: dict[str, Any] = {
         "vertex_sums": named,
         "is_antimagic": report.is_antimagic,
-        "duplicate_groups": [list(grp) for grp in report.duplicate_groups],
+        "duplicate_groups": report.duplicate_groups,
     }
     if report.chain:
         out["chain"] = [{"name": name, "holds": holds} for name, holds in report.chain]

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .conditions import check_conditions
 from .corona import Block, CoronaInstance, PanType1, SpiderType2
-from .graphs import Graph, spider_leg_vertex
+from .graphs import Graph, Labeling, spider_leg_vertex
 
 
 class LabelingError(ValueError):
@@ -51,16 +51,6 @@ class NotUniversal(LabelingError):
 
 class ConstructionFailed(LabelingError):
     """A post-verified construction produced duplicate sums."""
-
-
-@dataclass(frozen=True)
-class Labeling:
-    """Edge labels by edge id. Constructions always emit a bijection onto
-    {1..total_edges}; the verifier re-checks rather than trusting this.
-    """
-
-    labels: tuple[int, ...]
-    total_edges: int
 
 
 class RankedBlock(NamedTuple):

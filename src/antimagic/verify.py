@@ -2,7 +2,8 @@
 ground-truth label search on small graphs.
 
 Everything here recomputes from the raw graph and labels; nothing trusts the
-constructions in labeling.py.
+constructions in labeling.py, and graphs.py is the only module of the
+package imported here.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .graphs import Graph, degree_profile
-from .labeling import Labeling
+from .graphs import Graph, Labeling, degree_profile
 
 
 class NotABijection(ValueError):
@@ -104,14 +104,12 @@ def brute_force_search(g: Graph, limit: int = 10) -> SearchOutcome:
         raise TooLarge(f"|E| = {m} exceeds the exhaustive cap {limit}")
     remaining = list(degree_profile(g).degrees)
     sums = [0] * g.vertex_count
-    finished: set[int] = set()
     # Isolated vertices are final immediately; two of them share the sum 0
     # under every permutation, so the whole space is refuted at the root.
-    for v in range(g.vertex_count):
-        if remaining[v] == 0:
-            if 0 in finished:
-                return SearchOutcome(Status.EXHAUSTED_NONE, None, 0)
-            finished.add(0)
+    isolated = remaining.count(0)
+    if isolated > 1:
+        return SearchOutcome(Status.EXHAUSTED_NONE, None, 0)
+    finished = {0} if isolated else set()
     assignment: list[int] = [0] * m
     used = [False] * (m + 1)
     examined = 0

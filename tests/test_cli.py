@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -507,3 +510,40 @@ def test_search_help_documents_exhaustive_growth(capsys):
         assert exc.code == 0
     out = " ".join(capsys.readouterr().out.split())
     assert "factorially" in out and "--limit" in out
+
+
+def _huge_graph_files(tmp_path, vertices):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"vertices": vertices, "edges": []}))
+    labeling = tmp_path / "labeling.json"
+    labeling.write_text(json.dumps({"edges": []}))
+    return graph, labeling
+
+
+def test_vertex_count_past_index_range_is_input_error(capsys, tmp_path):
+    # 10**20 does not fit a list length, so this fails before allocating.
+    graph, labeling = _huge_graph_files(tmp_path, 10**20)
+    for argv in (("verify", graph, labeling), ("search", graph, "--random")):
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert code == 65, argv
+        assert out == ""
+        assert err.startswith("error: input too large") and err.count("\n") == 1
+
+
+def test_vertex_count_past_memory_is_input_error(tmp_path):
+    # Run only under a 1 GiB address-space limit, so the 80 GB list of sums
+    # fails at once instead of taking the machine's memory.
+    resource = pytest.importorskip("resource")
+    graph, labeling = _huge_graph_files(tmp_path, 10**10)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "antimagic.cli", "verify", str(graph), str(labeling)],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit_memory,
+    )
+    assert done.returncode == 65
+    assert done.stdout == ""
+    assert done.stderr == "error: input too large: out of memory\n"

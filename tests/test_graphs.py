@@ -186,6 +186,9 @@ def test_preset_messages():
     assert preset_outcome("pan", [2]) == ("BadParams", "pan needs r >= 3")
     assert preset_outcome(["K"], [3]) == ("BadParams", "unknown preset kind ['K']")
     assert preset_outcome({"a": 1}, []) == ("BadParams", "unknown preset kind {'a': 1}")
+    assert preset_outcome("path", ["3"]) == ("BadParams", "path needs integer n")
+    assert preset_outcome("path", [2.5]) == ("BadParams", "path needs integer n")
+    assert preset_outcome("complete", [True]) == ("BadParams", "complete needs integer n")
 
 
 def test_complete_bipartite_edges():

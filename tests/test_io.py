@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from collections import OrderedDict
 from enum import IntEnum
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antimagic import build_type1, build_type2, io as aio
-from antimagic import preset_graph, run_type2, vertex_sums
+from antimagic import Labeling, preset_graph, run_type2, vertex_sums
 from antimagic.corona import AttachmentTooSmall, DisconnectedAttachment
 from antimagic.graphs import BadParams
 
@@ -228,6 +230,25 @@ def test_labeling_csv_round_trip(spider_p2):
     assert text.splitlines()[0] == "edge_u,edge_v,label"
     back = aio.labeling_from_csv(text, spider_p2.composite)
     assert back == labeling
+
+
+@pytest.mark.parametrize("kind, params", [("path", [1]), ("path", [2]), ("complete", [40])])
+def test_labeling_csv_is_what_csv_writer_writes(kind, params):
+    # complete(40) has 780 edges, more than one chunk of rows.
+    g = preset_graph(kind, params)
+    labeling = Labeling(tuple(range(g.edge_count, 0, -1)), g.edge_count)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["edge_u", "edge_v", "label"])
+    writer.writerows([u, v, label] for (u, v), label in zip(g.edges, labeling.labels))
+    assert aio.labeling_to_csv(g, labeling) == buf.getvalue()
+
+
+def test_report_with_duplicates_writes_groups_as_lists():
+    p4 = preset_graph("path", [4])
+    report = vertex_sums(p4, Labeling((2, 1, 3), 3))
+    doc = aio.sum_report_to_json(p4, report)
+    assert aio.canonical_dumps(doc) == reference_dumps({**doc, "duplicate_groups": [[1, 3]]})
 
 
 def test_labeling_from_json_detects_mismatch():

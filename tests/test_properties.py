@@ -51,6 +51,9 @@ def test_preset_edges_are_canonical_pairs(case):
     g = preset_graph(kind, list(params))
     assert all(u < v for u, v in g.edges)
     assert len(set(g.edges)) == g.edge_count
+    # Presets are built without make_graph; each must be what make_graph
+    # would have built from its own parts.
+    assert make_graph(g.vertex_count, g.edges, g.names) == g
 
 
 @st.composite
