@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -13,12 +14,17 @@ from antimagic import (
     SearchOutcome,
     Status,
     brute_force_search,
+    build_type1,
     make_graph,
     preset_graph,
     random_search,
     vertex_sums,
 )
 from antimagic.verify import TooLarge
+
+# SHA-256 of every `random_search` outcome in `search_digest`, produced by
+# the code that recomputed all vertex sums after each trial swap.
+SEARCH_DIGEST = "30215e8199db3c1e643c53167215a3fcb449b69b1f471f93e6b12b99c24ef697"
 
 
 @st.composite
@@ -130,6 +136,33 @@ def test_random_search_deterministic():
 def test_random_search_rejects_bad_budget():
     with pytest.raises(ValueError):
         random_search(preset_graph("cycle", [3]), budget=0, seed=1)
+
+
+def search_digest():
+    """Outcomes over seeds 0-4 and budgets 500 and 3,000: graphs that are
+    found at once, after climbing or never (K2, and K2 beside C6, which
+    spend the budget over many restarts), and a small corona composite."""
+    k2 = preset_graph("complete", [2])
+    graphs = [
+        preset_graph("cycle", [5]),
+        preset_graph("cycle", [8]),
+        preset_graph("cycle", [20]),
+        preset_graph("path", [6]),
+        preset_graph("complete", [4]),
+        k2,
+        build_type1(3, [k2] * 4).composite,
+        make_graph(8, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 7)]),
+    ]
+    h = hashlib.sha256()
+    for g in graphs:
+        for budget in (500, 3000):
+            for seed in range(5):
+                h.update(repr(random_search(g, budget, seed)).encode())
+    return h.hexdigest()
+
+
+def test_random_search_digest():
+    assert search_digest() == SEARCH_DIGEST
 
 
 @settings(max_examples=60, deadline=None)
