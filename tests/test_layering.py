@@ -3,7 +3,9 @@
 The verifier takes nothing from the code it certifies: verify.py imports
 only graphs.py from the package. Outside input is validated once: io.py,
 which reads it, is the only module that calls `make_graph`; every other
-module builds its graphs from values the program made itself.
+module builds its graphs from values the program made itself. Process-wide
+collector state belongs to the command line: cli.py is the only module that
+imports `gc`, so library callers keep the collector as they set it.
 """
 
 from __future__ import annotations
@@ -36,6 +38,17 @@ def _package_imports(tree: ast.Module) -> set[str]:
     return found
 
 
+def _absolute_imports(tree: ast.Module) -> set[str]:
+    """The top-level names of the absolute imports of a module."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add((node.module or "").split(".")[0])
+    return found
+
+
 def _calls(tree: ast.Module, name: str) -> bool:
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -53,3 +66,8 @@ def test_verify_imports_only_graphs():
 def test_only_io_calls_make_graph():
     callers = [path.name for path in sorted(PACKAGE.glob("*.py")) if _calls(_tree(path.name), "make_graph")]
     assert callers == ["io.py"]
+
+
+def test_only_cli_imports_gc():
+    importers = [path.name for path in sorted(PACKAGE.glob("*.py")) if "gc" in _absolute_imports(_tree(path.name))]
+    assert importers == ["cli.py"]
