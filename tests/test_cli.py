@@ -551,81 +551,79 @@ def test_vertex_count_past_memory_is_input_error(tmp_path):
     assert done.stderr == "error: input too large: out of memory\n"
 
 
+@pytest.fixture
+def restore_collector():
+    """Put the cyclic collector back as it was after a test that switches it."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
 def _exit_cases(tmp_path):
     """One command for each exit code: 0, 1, 2, 3, 4 and 65."""
     k2 = tmp_path / "k2.json"
     k2.write_text(json.dumps({"kind": "K", "params": [2]}))
-    labelings = {}
-    for label in (1, 2):
-        labelings[label] = tmp_path / f"k2_label{label}.json"
-        labelings[label].write_text(json.dumps({"edges": [{"u": 0, "v": 1, "label": label}]}))
+    valid, repeated = tmp_path / "valid.json", tmp_path / "repeated.json"
+    for path, label in ((valid, 1), (repeated, 2)):
+        path.write_text(json.dumps({"edges": [{"u": 0, "v": 1, "label": label}]}))
     return [
         (("label", FIXTURES / "pan_r5.json"), 0),
-        (("verify", k2, labelings[1]), 1),
+        (("verify", k2, valid), 1),
         (("label", FIXTURES / "violating.json", "--force"), 2),
         (("label", FIXTURES / "violating.json"), 3),
-        (("verify", k2, labelings[2]), 4),
+        (("verify", k2, repeated), 4),
         (("build", tmp_path / "missing.json"), 65),
     ]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
-def test_main_keeps_collector_state(capsys, tmp_path, monkeypatch, enabled):
+def test_main_keeps_collector_state(capsys, tmp_path, monkeypatch, restore_collector, enabled):
     """`main` pauses the cyclic collector while a command runs and leaves it
     as it found it: after every exit code, after a handler's exception and
     after argparse rejects the command line."""
-    was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
-    try:
-        for argv, code in _exit_cases(tmp_path):
-            assert run_cli(capsys, *map(str, argv))[0] == code
-            assert gc.isenabled() is enabled, argv
+    for argv, code in _exit_cases(tmp_path):
+        assert run_cli(capsys, *map(str, argv))[0] == code
+        assert gc.isenabled() is enabled, argv
 
-        with pytest.raises(SystemExit):
-            main(["no-such-command"])
-        assert gc.isenabled() is enabled
+    with pytest.raises(SystemExit):
+        main(["no-such-command"])
+    assert gc.isenabled() is enabled
 
-        seen = []
+    seen = []
 
-        def broken_handler(args):
-            seen.append(gc.isenabled())
-            raise RuntimeError("handler failed")
+    def broken_handler(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("handler failed")
 
-        monkeypatch.setattr(cli, "_cmd_verify", broken_handler)
-        with pytest.raises(RuntimeError):
-            main(["verify", "graph.json", "labeling.json"])
-        assert seen == [False]
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was_enabled else gc.disable)()
+    monkeypatch.setattr(cli, "_cmd_verify", broken_handler)
+    with pytest.raises(RuntimeError):
+        main(["verify", "graph.json", "labeling.json"])
+    assert seen == [False]
+    assert gc.isenabled() is enabled
 
 
-def test_command_data_is_acyclic(capsys, tmp_path):
+def test_command_data_is_acyclic(capsys, tmp_path, restore_collector):
     """The pause is safe because nothing a command builds in bulk is cyclic:
     the garbage the collector finds after `label` and `verify` is the same
     for pan r=5 and pan r=400, so it does not grow with the input. Automatic
     collection is off here, so that only the counted collections run."""
-    was_enabled = gc.isenabled()
     gc.disable()
     found = {}
-    try:
-        for r in (5, 400):
-            spec = tmp_path / f"pan{r}.json"
-            spec.write_text(json.dumps({
-                "base": {"type": "pan", "param": r},
-                "attachments": [{"kind": "K", "params": [2]}] + [{"kind": "C", "params": [3]}] * r,
-            }))
-            stem = tmp_path / f"pan{r}"
-            graph = tmp_path / f"pan{r}.graph.json"
-            assert run_cli(capsys, "build", str(spec), "--graph-out", str(graph))[0] == 0
-            for argv in (
-                ("label", spec, "--out", stem),
-                ("verify", graph, f"{stem}.labeling.json"),
-            ):
-                gc.collect()
-                assert run_cli(capsys, *map(str, argv))[0] == 0
-                found[argv[0], r] = gc.collect()
-    finally:
-        if was_enabled:
-            gc.enable()
+    for r in (5, 400):
+        spec = tmp_path / f"pan{r}.json"
+        spec.write_text(json.dumps({
+            "base": {"type": "pan", "param": r},
+            "attachments": [{"kind": "K", "params": [2]}] + [{"kind": "C", "params": [3]}] * r,
+        }))
+        stem = tmp_path / f"pan{r}"
+        graph = tmp_path / f"pan{r}.graph.json"
+        assert run_cli(capsys, "build", str(spec), "--graph-out", str(graph))[0] == 0
+        for argv in (
+            ("label", spec, "--out", stem),
+            ("verify", graph, f"{stem}.labeling.json"),
+        ):
+            gc.collect()
+            assert run_cli(capsys, *map(str, argv))[0] == 0
+            found[argv[0], r] = gc.collect()
     assert len(set(found.values())) == 1, found
