@@ -9,7 +9,6 @@ package imported here.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -153,6 +152,7 @@ def brute_force_search(g: Graph, limit: int = 10) -> SearchOutcome:
         return None
 
     found = place(0)
+    del place  # it calls itself through its closure; drop that cycle
     if found is not None:
         return SearchOutcome(Status.FOUND, found, examined)
     return SearchOutcome(Status.EXHAUSTED_NONE, None, examined)
@@ -162,53 +162,34 @@ def random_search(g: Graph, budget: int, seed: int) -> SearchOutcome:
     """Seeded random restarts with greedy pairwise-swap hill climbing on the
     number of colliding vertices. Deterministic for a given seed; reports
     BudgetExceeded instead of exhausting the space.
-
-    A swap moves the sums of at most four vertices, so the climb keeps the
-    sums and a count of each sum value, and updates only those entries.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     m = g.edge_count
-    edges = g.edges
     rng = random.Random(seed)
     examined = 0
 
-    def swap(i: int, j: int) -> int:
-        """Swap the labels of edges i and j; return the change in collisions.
-        An endpoint the two edges share moves by delta and back."""
-        delta = labels[j] - labels[i]
-        labels[i], labels[j] = labels[j], labels[i]
-        (a, b), (c, d) = edges[i], edges[j]
-        change = 0
-        for w, shift in ((a, delta), (b, delta), (c, -delta), (d, -delta)):
-            old = sums[w]
-            new = old + shift
-            sums[w] = new
-            left = counts[old] - 1
-            counts[old] = left
-            joined = counts.get(new, 0) + 1
-            counts[new] = joined
-            change += (left == 0) - (joined == 1)
-        return change
+    def collisions(labels: Sequence[int]) -> int:
+        sums = _sums(g, labels)
+        return len(sums) - len(set(sums))
 
     while examined < budget:
         labels = list(range(1, m + 1))
         rng.shuffle(labels)
         examined += 1
-        sums = _sums(g, labels)
-        counts = Counter(sums)
-        score = len(sums) - len(counts)
+        score = collisions(labels)
         improved = True
         while score > 0 and improved and examined < budget:
             improved = False
             for i, j in combinations(range(m), 2):
+                labels[i], labels[j] = labels[j], labels[i]
                 examined += 1
-                trial = score + swap(i, j)
+                trial = collisions(labels)
                 if trial < score:
                     score = trial
                     improved = True
                 else:
-                    swap(i, j)
+                    labels[i], labels[j] = labels[j], labels[i]
                 if score == 0 or examined >= budget:
                     break
         if score == 0:

@@ -603,27 +603,58 @@ def test_main_keeps_collector_state(capsys, tmp_path, monkeypatch, restore_colle
     assert gc.isenabled() is enabled
 
 
-def test_command_data_is_acyclic(capsys, tmp_path, restore_collector):
+HARD_GRAPHS = {
+    "small": {"vertices": 2, "edges": [[0, 1]]},
+    "large": {"vertices": 8, "edges": [[0, 1], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], [2, 7]]},
+}
+
+
+def _command_inputs(capsys, tmp_path, size):
+    """Files for every command at two sizes: a pan r=5 or r=400 spec with its
+    graph and labeling, and for `search --exhaustive` K2 (one permutation) or
+    K2 beside C6 (never antimagic, so all 7! orders are tried)."""
+    r = {"small": 5, "large": 400}[size]
+    out = tmp_path / size
+    out.mkdir()
+    spec = out / "spec.json"
+    spec.write_text(json.dumps({
+        "base": {"type": "pan", "param": r},
+        "attachments": [{"kind": "K", "params": [2]}] + [{"kind": "C", "params": [3]}] * r,
+    }))
+    graph = out / "graph.json"
+    assert run_cli(capsys, "build", str(spec), "--graph-out", str(graph))[0] == 0
+    assert run_cli(capsys, "label", str(spec), "--out", str(out / "pan"))[0] == 0
+    hard = out / "hard.json"
+    hard.write_text(json.dumps(HARD_GRAPHS[size]))
+    return {"dir": out, "spec": spec, "graph": graph, "labeling": out / "pan.labeling.json", "hard": hard}
+
+
+COMMANDS = {
+    "build": lambda f: (
+        "build", f["spec"], "--out", f["dir"] / "summary.json", "--graph-out", f["dir"] / "again.json"
+    ),
+    "conditions": lambda f: ("conditions", f["spec"]),
+    "label": lambda f: ("label", f["spec"], "--out", f["dir"] / "again"),
+    "verify": lambda f: ("verify", f["graph"], f["labeling"]),
+    "export": lambda f: (
+        "export", f["graph"], "--format", "dot", "--labeling", f["labeling"], "--out", f["dir"] / "out.dot"
+    ),
+    "search-random": lambda f: ("search", f["graph"], "--random", "--budget", "40"),
+    "search-exhaustive": lambda f: ("search", f["hard"], "--exhaustive"),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_data_is_acyclic(capsys, tmp_path, restore_collector, command):
     """The pause is safe because nothing a command builds in bulk is cyclic:
-    the garbage the collector finds after `label` and `verify` is the same
-    for pan r=5 and pan r=400, so it does not grow with the input. Automatic
+    the garbage the collector finds after each command is the same for a
+    small and a large input, so it does not grow with the input. Automatic
     collection is off here, so that only the counted collections run."""
     gc.disable()
     found = {}
-    for r in (5, 400):
-        spec = tmp_path / f"pan{r}.json"
-        spec.write_text(json.dumps({
-            "base": {"type": "pan", "param": r},
-            "attachments": [{"kind": "K", "params": [2]}] + [{"kind": "C", "params": [3]}] * r,
-        }))
-        stem = tmp_path / f"pan{r}"
-        graph = tmp_path / f"pan{r}.graph.json"
-        assert run_cli(capsys, "build", str(spec), "--graph-out", str(graph))[0] == 0
-        for argv in (
-            ("label", spec, "--out", stem),
-            ("verify", graph, f"{stem}.labeling.json"),
-        ):
-            gc.collect()
-            assert run_cli(capsys, *map(str, argv))[0] == 0
-            found[argv[0], r] = gc.collect()
-    assert len(set(found.values())) == 1, found
+    for size in ("small", "large"):
+        argv = COMMANDS[command](_command_inputs(capsys, tmp_path, size))
+        gc.collect()
+        assert run_cli(capsys, *map(str, argv))[0] in (cli.EXIT_OK, cli.EXIT_NOT_ANTIMAGIC)
+        found[size] = gc.collect()
+    assert found["small"] == found["large"], found
