@@ -9,8 +9,6 @@ from .conditions import Condition, ConditionReport, check_conditions
 from .corona import (
     Block,
     CoronaInstance,
-    PanType1,
-    SpiderType2,
     build_type1,
     build_type2,
     normalize_attachments,
@@ -52,10 +50,8 @@ __all__ = [
     "Graph",
     "Labeling",
     "LabelingRun",
-    "PanType1",
     "RankedBlock",
     "SearchOutcome",
-    "SpiderType2",
     "Status",
     "SumReport",
     "brute_force_search",

@@ -189,6 +189,7 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
 def _cmd_label(args: argparse.Namespace) -> int:
     inst, options = aio.instance_from_json(_read_json(args.spec))
     force = args.force or options["force"]
+    # Kept as two calls: bench/run.py traces run_type1/run_type2 as cli attributes.
     run = run_type1(inst, force=force) if inst.kind == "pan" else run_type2(inst, force=force)
     chain_spec = [(c.name, c.left, c.right) for c in run.chain]
     report = vertex_sums(inst.composite, run.labeling, chain=chain_spec)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .corona import CoronaInstance, PanType1
+from .corona import CoronaInstance
 from .graphs import degree_profile, spider_leg_vertex
 
 
@@ -46,13 +46,8 @@ class ConditionReport:
 
 
 def check_conditions(inst: CoronaInstance) -> ConditionReport:
-    if isinstance(inst.base, PanType1):
-        return ConditionReport(tuple(_pan_conditions(inst, inst.base.r)))
-    if inst.base.p == 1:
-        # The single-leg spider composite has a universal center; the
-        # labeling needs no hypotheses.
-        return ConditionReport(conditions=())
-    return ConditionReport(tuple(_spider_conditions(inst, inst.base.p)))
+    rows = _pan_conditions if inst.kind == "pan" else _spider_conditions
+    return ConditionReport(tuple(rows(inst, inst.param)))
 
 
 def _base_degrees(inst: CoronaInstance) -> list[int]:
@@ -90,7 +85,11 @@ def _pan_conditions(inst: CoronaInstance, r: int) -> list[Condition]:
 
 
 def _spider_conditions(inst: CoronaInstance, p: int) -> list[Condition]:
-    """T42 for p = 2, T43 for p >= 3."""
+    """T42 for p = 2, T43 for p >= 3. None for p = 1: the single-leg
+    spider composite has a universal center, and its labeling needs no
+    hypotheses."""
+    if p == 1:
+        return []
     comp_deg = _base_degrees(inst)
     general = p > 2
     tip_id = "T43-ii-{}" if general else "T42-deg-{}2"

@@ -1,5 +1,9 @@
 """Generalized edge corona construction over pan and spider bases.
 
+An instance names its base by `kind` ("pan" or "spider") and `param` (r for
+the pan on u0..ur, p for the spider with legs of p vertices). `_KINDS` is the
+one place for the facts that differ between base kinds.
+
 The composite joins both endpoints of base edge i to every vertex of the
 attachment placed on that edge. Its edges are laid out in contiguous id
 ranges: the base edges first, then per block its internal edges and the
@@ -38,21 +42,11 @@ class BadBaseParam(CoronaError):
     """Base parameter outside the supported range."""
 
 
-@dataclass(frozen=True)
-class PanType1:
-    """Pan base on vertices u0..ur with the pendant u0, r >= 3."""
-
-    r: int
-
-
-@dataclass(frozen=True)
-class SpiderType2:
-    """Spider base with center v0 and three legs of p vertices each."""
-
-    p: int
-
-
-BaseSpec = PanType1 | SpiderType2
+# kind -> (parameter name, least value, first block id)
+_KINDS: dict[str, tuple[str, int, int]] = {
+    "pan": ("r", 3, 0),
+    "spider": ("p", 1, 1),
+}
 
 
 class Block(NamedTuple):
@@ -78,19 +72,18 @@ class Block(NamedTuple):
 
 @dataclass(frozen=True)
 class CoronaInstance:
-    base: BaseSpec
+    """A built corona. `kind` is the base kind, a key of `_KINDS`, and
+    `param` its parameter: r for a pan base, p for a spider base."""
+
+    kind: str
+    param: int
     base_graph: Graph
     attachments: tuple[Graph, ...]
     composite: Graph
     blocks: tuple[Block, ...]
 
-    @property
-    def kind(self) -> str:
-        return "pan" if isinstance(self.base, PanType1) else "spider"
-
     def block(self, index: int) -> Block:
-        offset = 0 if isinstance(self.base, PanType1) else 1
-        return self.blocks[index - offset]
+        return self.blocks[index - self.blocks[0].index]
 
     @property
     def attachment_orders(self) -> tuple[int, ...]:
@@ -132,11 +125,7 @@ def build_type1(r: int, attachments: Sequence[Graph]) -> CoronaInstance:
     """Corona over the pan base: block 0 sits on the pendant edge u0-ur,
     block 1 on u1-u2, block j on u(j-1)-u(j+1), block r on u(r-1)-ur.
     """
-    if r < 3:
-        raise BadBaseParam(f"pan base needs r >= 3, got {r}")
-    base = preset_graph("pan", [r])
-    _check_attachments(attachments, base.edge_count)
-    return _assemble(PanType1(r), base, tuple(attachments), first_block=0)
+    return _build("pan", r, attachments)
 
 
 def build_type2(p: int, attachments: Sequence[Graph]) -> CoronaInstance:
@@ -144,11 +133,7 @@ def build_type2(p: int, attachments: Sequence[Graph]) -> CoronaInstance:
     the center (x, y, z interleaved), and blocks 3p-2..3p sit on the three
     center edges.
     """
-    if p < 1:
-        raise BadBaseParam(f"spider base needs p >= 1, got {p}")
-    base = preset_graph("spider", [p])
-    _check_attachments(attachments, base.edge_count)
-    return _assemble(SpiderType2(p), base, tuple(attachments), first_block=1)
+    return _build("spider", p, attachments)
 
 
 def _check_attachments(attachments: Sequence[Graph], expected: int) -> None:
@@ -163,12 +148,13 @@ def _check_attachments(attachments: Sequence[Graph], expected: int) -> None:
             raise DisconnectedAttachment(f"attachment at position {pos} is disconnected")
 
 
-def _assemble(
-    spec: BaseSpec,
-    base: Graph,
-    attachments: tuple[Graph, ...],
-    first_block: int,
-) -> CoronaInstance:
+def _build(kind: str, param: int, attachments: Sequence[Graph]) -> CoronaInstance:
+    param_name, least, first_block = _KINDS[kind]
+    if param < least:
+        raise BadBaseParam(f"{kind} base needs {param_name} >= {least}, got {param}")
+    base = preset_graph(kind, [param])
+    _check_attachments(attachments, base.edge_count)
+    attachments = tuple(attachments)
     names = list(base.names)
     edges = list(base.edges)
 
@@ -201,7 +187,8 @@ def _assemble(
         raise CoronaError(f"composite has {len(edges)} edges, expected |E(G)| + sum (|E(H_i)| + 2|V(H_i)|)")
     composite = Graph(next_vertex, tuple(edges), tuple(names))
     return CoronaInstance(
-        base=spec,
+        kind=kind,
+        param=param,
         base_graph=base,
         attachments=attachments,
         composite=composite,

@@ -221,6 +221,7 @@ def instance_from_json(obj: Mapping[str, Any]) -> tuple[CoronaInstance, dict[str
     param = base["param"]
     if isinstance(param, bool) or not isinstance(param, int):
         raise SpecError(f"base param must be an integer, got {param!r}")
+    # Kept as two calls: bench/run.py traces build_type1/build_type2 as io attributes.
     if base_type == "pan":
         return build_type1(param, attachments), options
     if base_type == "spider":

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .conditions import check_conditions
-from .corona import Block, CoronaInstance, PanType1, SpiderType2
+from .corona import Block, CoronaInstance
 from .graphs import Graph, Labeling, spider_leg_vertex
 
 
@@ -114,10 +114,10 @@ def run_type1(inst: CoronaInstance, *, force: bool = False) -> LabelingRun:
     the rim edges. The chain runs u0, the ranked vertices of H0..Hr, then
     u1..ur.
     """
-    if not isinstance(inst.base, PanType1):
+    if inst.kind != "pan":
         raise WrongBaseType("run_type1 needs a pan-base instance")
     _require_conditions(inst, force)
-    r = inst.base.r
+    r = inst.param
     h0 = inst.blocks[0]
     steps: list[tuple] = [("link", "u0", 0), ("run", (0, *h0.cross_fan(0)))]
     steps += [("run", blk.edge_ids) for blk in inst.blocks]
@@ -145,10 +145,10 @@ def run_type2(inst: CoronaInstance, *, force: bool = False) -> LabelingRun:
     vertices x(p-1), y(p-1), z(p-1), ..., x2, y2, z2, the ranked center star
     c1..cM, then v0.
     """
-    if not isinstance(inst.base, SpiderType2):
+    if inst.kind != "spider":
         raise WrongBaseType("run_type2 needs a spider-base instance")
     _require_conditions(inst, force)
-    p = inst.base.p
+    p = inst.param
     if p == 1:
         return _universal_run(inst.composite, hub=0)
 

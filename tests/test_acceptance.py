@@ -220,7 +220,7 @@ def test_criterion_5_property_suite():
             assert sorted(run.labeling.labels) == list(range(1, m + 1))
             report = vertex_sums(inst.composite, run.labeling)
             assert report.is_antimagic
-            if inst.base.p == 1:
+            if inst.param == 1:
                 assert report.sums[0] == max(report.sums)
             else:
                 assert run.chain_holds

@@ -306,6 +306,13 @@ def test_non_integer_param_is_input_error(capsys, tmp_path):
     assert err.count("\n") == 1 and "param" in err
 
 
+def test_pan_param_below_least_is_input_error(capsys, tmp_path):
+    spec = _spider_p2_spec(tmp_path, base={"type": "pan", "param": 2})
+    code, _, err = run_cli(capsys, "label", str(spec))
+    assert code == 65
+    assert err == "error: pan base needs r >= 3, got 2\n"
+
+
 def test_verify_edge_listed_twice_exit_four(capsys, tmp_path):
     p4 = tmp_path / "p4.json"
     p4.write_text(json.dumps({"kind": "P", "params": [4]}))

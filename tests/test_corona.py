@@ -56,9 +56,9 @@ def test_attachment_validation():
     disconnected = make_graph(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedAttachment):
         build_type1(3, [K(2), disconnected, K(2), K(2)])
-    with pytest.raises(BadBaseParam):
+    with pytest.raises(BadBaseParam, match=r"^pan base needs r >= 3, got 2$"):
         build_type1(2, [K(2)] * 3)
-    with pytest.raises(BadBaseParam):
+    with pytest.raises(BadBaseParam, match=r"^spider base needs p >= 1, got 0$"):
         build_type2(0, [])
 
 

@@ -1,9 +1,11 @@
-"""No dead top-level names in the package.
+"""No dead top-level names and no unused imports in the package.
 
 A top-level function, class or constant of src/antimagic/ must be exported
 in `__all__`, named in bench/ (the benchmark patches functions by name), or
-referenced somewhere in src/ other than where it is defined. Anything else
-is dead code.
+referenced somewhere in src/ other than where it is defined. A name a module
+imports must be read in that module, listed in its `__all__`, or patched on
+that module by bench/ (as `("antimagic.<module>", "<name>", ...)`). Anything
+else is dead code.
 """
 
 from __future__ import annotations
@@ -47,10 +49,33 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
-def dead_names() -> list[str]:
-    trees = {
+def _imports(tree: ast.Module) -> list[str]:
+    """The names a module's imports bind, `from __future__` aside."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [(a.asname or a.name).partition(".")[0] for a in node.names]
+    return names
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _trees() -> dict[Path, ast.Module]:
+    return {
         path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))
     }
+
+
+def dead_names() -> list[str]:
+    trees = _trees()
     referenced = set().union(*map(_references, trees.values()))
     exported = set().union(*map(_exported, trees.values()))
     bench_words = set()
@@ -66,3 +91,22 @@ def dead_names() -> list[str]:
 
 def test_no_dead_top_level_names():
     assert dead_names() == []
+
+
+def unused_imports() -> list[str]:
+    patched = set()
+    for path in (ROOT / "bench").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        patched.update(re.findall(r'"antimagic\.(\w+)", "(\w+)"', text))
+    return [
+        f"{path.name}:{name}"
+        for path, tree in _trees().items()
+        for name in _imports(tree)
+        if name not in _reads(tree)
+        and name not in _exported(tree)
+        and (path.stem, name) not in patched
+    ]
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []

@@ -246,14 +246,14 @@ def _conditions_from_composite(inst):
 
     out = {}
     if inst.kind == "pan":
-        r = inst.base.r
+        r = inst.param
         out.update({f"T41-size-{i}": (size(i), size(i + 1)) for i in range(r)})
         out["T41-h0h1"] = att_chain(0)
         out.update({f"T41-chain-{i}": att_chain(i) for i in range(1, r)})
         out.update({f"T41-star-{i}": (at["u0"], min(over(i))) for i in range(r + 1)})
         out["T41-cap"] = (max(over(r)), at["u1"])
         return out
-    p = inst.base.p
+    p = inst.param
     if p == 1:
         return out
     t, chain = ("T43", "T43-i-{}") if p > 2 else ("T42", "T42-chain-{}")
