@@ -5,16 +5,25 @@ All multisets of catalog attachments over pan r=3, pan r=4 and spider p=2
 p=3 (T43). Where the hypotheses hold, the labeling must be antimagic and
 every link of its sum chain must hold on sums recomputed from the labels.
 Every run, forced where the hypotheses fail, must hand out a bijection
-onto 1..|E|.
+onto 1..|E|. The condition rows of every instance are pinned by a digest.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 from antimagic import build_type1, build_type2, check_conditions, run_type1, run_type2, vertex_sums
 
 from .conftest import catalog_combos
+
+# SHA-256 of the rows (id, description, lhs, rhs, holds) of every instance in
+# each sweep, in sweep order, produced by the code that re-derived orders and
+# degrees from the instance in each row helper.
+CONDITION_DIGESTS = {
+    "sweep": "2b66e7a73d2de8aa18ef20fbb8b665fd402837a8d273137665c4cc932e6481f9",
+    "spider_p3_slice": "d4d6b9702a9c981a798130b42eb5ebf8b92fe9749f5ff9797afec0ec0d29a998",
+}
 
 
 def _recomputed_sums(g, labels):
@@ -25,9 +34,13 @@ def _recomputed_sums(g, labels):
     return sums
 
 
-def _hypotheses_hold(inst) -> bool:
-    """Check the run on inst; return whether its hypotheses hold."""
-    held = check_conditions(inst).overall
+def _hypotheses_hold(inst, digest) -> bool:
+    """Check the run on inst, add its condition rows to digest and return
+    whether its hypotheses hold."""
+    report = check_conditions(inst)
+    for row in report.conditions:
+        digest.update(repr(tuple(row)).encode() + b"\n")
+    held = report.overall
     run = (run_type1 if inst.kind == "pan" else run_type2)(inst, force=True)
     g = inst.composite
     assert sorted(run.labeling.labels) == list(range(1, g.edge_count + 1))
@@ -40,21 +53,25 @@ def _hypotheses_hold(inst) -> bool:
 
 
 def test_catalog_sweep_pan_r3_r4_spider_p2():
+    digest = hashlib.sha256()
     counts = {}
     for kind, param, blocks in (("pan", 3, 4), ("pan", 4, 5), ("spider", 2, 6)):
         build = build_type1 if kind == "pan" else build_type2
-        held = [_hypotheses_hold(build(param, atts)) for atts in catalog_combos(blocks)]
+        held = [_hypotheses_hold(build(param, atts), digest) for atts in catalog_combos(blocks)]
         counts[kind, param] = (len(held), sum(held))
     assert counts == {("pan", 3): (1001, 45), ("pan", 4): (3003, 81), ("spider", 2): (8008, 531)}
     assert sum(held for _, held in counts.values()) == 657
+    assert digest.hexdigest() == CONDITION_DIGESTS["sweep"]
 
 
 def test_catalog_slice_spider_p3():
     # Of all 92,378 spider p=3 instances only index 285 (K2 on the six leg
     # edges, K5 on the three center edges) meets T43; the slice, every 97th
     # from index 91, includes it.
+    digest = hashlib.sha256()
     held = [
-        _hypotheses_hold(build_type2(3, atts))
+        _hypotheses_hold(build_type2(3, atts), digest)
         for atts in itertools.islice(catalog_combos(9), 91, None, 97)
     ]
     assert (len(held), sum(held)) == (952, 1)
+    assert digest.hexdigest() == CONDITION_DIGESTS["spider_p3_slice"]
