@@ -1,8 +1,9 @@
 """Generalized edge corona construction over pan and spider bases.
 
 An instance names its base by `kind` ("pan" or "spider") and `param` (r for
-the pan on u0..ur, p for the spider with legs of p vertices). `_KINDS` is the
-one place for the facts that differ between base kinds.
+the pan on u0..ur, p for the spider with legs of p vertices). The kind's row
+of the preset table in graphs.py gives the parameter's name and least value;
+`_KINDS` adds the one fact the construction needs beyond it.
 
 The composite joins both endpoints of base edge i to every vertex of the
 attachment placed on that edge. Its edges are laid out in contiguous id
@@ -19,7 +20,7 @@ from itertools import product, repeat
 from typing import NamedTuple, Sequence
 
 # make_graph is not called here; bench/run.py traces it as corona.make_graph.
-from .graphs import Graph, is_connected, make_graph, preset_graph  # noqa: F401
+from .graphs import _PRESETS, Graph, is_connected, make_graph, preset_graph  # noqa: F401
 
 
 class CoronaError(ValueError):
@@ -42,11 +43,8 @@ class BadBaseParam(CoronaError):
     """Base parameter outside the supported range."""
 
 
-# kind -> (parameter name, least value, first block id)
-_KINDS: dict[str, tuple[str, int, int]] = {
-    "pan": ("r", 3, 0),
-    "spider": ("p", 1, 1),
-}
+# kind -> first block id
+_KINDS: dict[str, int] = {"pan": 0, "spider": 1}
 
 
 class Block(NamedTuple):
@@ -149,10 +147,11 @@ def _check_attachments(attachments: Sequence[Graph], expected: int) -> None:
 
 
 def _build(kind: str, param: int, attachments: Sequence[Graph]) -> CoronaInstance:
-    param_name, least, first_block = _KINDS[kind]
+    (param_name,), least, _ = _PRESETS[kind]
     if param < least:
         raise BadBaseParam(f"{kind} base needs {param_name} >= {least}, got {param}")
     base = preset_graph(kind, [param])
+    first_block = _KINDS[kind]
     _check_attachments(attachments, base.edge_count)
     attachments = tuple(attachments)
     names = list(base.names)

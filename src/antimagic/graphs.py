@@ -12,7 +12,8 @@ take, and a builder that constructs the `Graph` directly: its edges are
 canonical, distinct and in range by construction, so they need no second
 check. `preset_graph` looks the kind up, checks the parameter count, type
 and least value, and calls the builder; every `BadParams` message is made
-from the table entry.
+from the table entry. The `pan` and `spider` rows also give corona.py the
+name and least value of a base parameter.
 """
 
 from __future__ import annotations
