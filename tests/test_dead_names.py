@@ -1,11 +1,12 @@
 """No dead top-level names and no unused imports in the package.
 
 A top-level function, class or constant of src/antimagic/ must be exported
-in `__all__`, named in bench/ (the benchmark patches functions by name), or
-referenced somewhere in src/ other than where it is defined. A name a module
-imports must be read in that module, listed in its `__all__`, or patched on
-that module by bench/ (as `("antimagic.<module>", "<name>", ...)`). Anything
-else is dead code.
+in `__all__`, reached on its module by bench/, or referenced somewhere in
+src/ other than where it is defined. bench/ reaches a name on a module by a
+patch row `("antimagic.<module>", "<name>", ...)` or by an access
+`prog.<module>.<name>`. A name a module imports must be read in that module,
+listed in its `__all__`, or patched on that module by bench/. Anything else
+is dead code.
 """
 
 from __future__ import annotations
@@ -74,18 +75,28 @@ def _trees() -> dict[Path, ast.Module]:
     }
 
 
+PATCH_ROW = r'"antimagic\.(\w+)", "(\w+)"'
+PROG_ACCESS = r"\bprog\.(\w+)\.(\w+)"
+
+
+def _bench_reaches(pattern: str) -> set[tuple[str, str]]:
+    """The (module, name) pairs that pattern matches in bench/*.py."""
+    found = set()
+    for path in (ROOT / "bench").glob("*.py"):
+        found.update(re.findall(pattern, path.read_text(encoding="utf-8")))
+    return found
+
+
 def dead_names() -> list[str]:
     trees = _trees()
     referenced = set().union(*map(_references, trees.values()))
     exported = set().union(*map(_exported, trees.values()))
-    bench_words = set()
-    for path in (ROOT / "bench").glob("*.py"):
-        bench_words.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    reached = _bench_reaches(PATCH_ROW) | _bench_reaches(PROG_ACCESS)
     return [
         f"{path.name}:{name}"
         for path, tree in trees.items()
         for name in _definitions(tree)
-        if name not in exported and name not in bench_words and name not in referenced
+        if name not in exported and (path.stem, name) not in reached and name not in referenced
     ]
 
 
@@ -94,10 +105,7 @@ def test_no_dead_top_level_names():
 
 
 def unused_imports() -> list[str]:
-    patched = set()
-    for path in (ROOT / "bench").glob("*.py"):
-        text = path.read_text(encoding="utf-8")
-        patched.update(re.findall(r'"antimagic\.(\w+)", "(\w+)"', text))
+    patched = _bench_reaches(PATCH_ROW)
     return [
         f"{path.name}:{name}"
         for path, tree in _trees().items()

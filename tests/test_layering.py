@@ -6,6 +6,8 @@ which reads it, is the only module that calls `make_graph`; every other
 module builds its graphs from values the program made itself. Process-wide
 collector state belongs to the command line: cli.py is the only module that
 imports `gc`, so library callers keep the collector as they set it.
+Construction invariants survive `python -O`: no module of the package uses
+an `assert` statement, which -O strips; they raise errors instead.
 """
 
 from __future__ import annotations
@@ -71,3 +73,13 @@ def test_only_io_calls_make_graph():
 def test_only_cli_imports_gc():
     importers = [path.name for path in sorted(PACKAGE.glob("*.py")) if "gc" in _absolute_imports(_tree(path.name))]
     assert importers == ["cli.py"]
+
+
+def test_no_assert_statements():
+    asserting = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_tree(path.name))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserting == []
