@@ -8,7 +8,7 @@ the stable T41/T42/T43 naming used by the JSON reports.
 blocks: per block id its order |V(Hi)| and its least and greatest attachment
 degree, and per base vertex its composite degree, which is its base degree
 plus the order of each block on an incident base edge. The rows then compare
-only those numbers; a block vertex has composite degree its attachment
+only those numbers; the composite degree of a block vertex is its attachment
 degree plus 2. Nothing walks the composite.
 """
 
