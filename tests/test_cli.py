@@ -255,6 +255,19 @@ def test_export_matches_label_output(capsys, tmp_path, fmt):
     assert out == expected
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
+def test_export_out_file_matches_stdout(capsys, tmp_path, fmt):
+    spec = str(FIXTURES / "spider_p4.json")
+    graph = tmp_path / "graph.json"
+    assert run_cli(capsys, "build", spec, "--graph-out", str(graph))[0] == 0
+    assert run_cli(capsys, "label", spec, "--out", str(tmp_path / "j"))[0] == 0
+    argv = ["export", str(graph), "--format", fmt, "--labeling", str(tmp_path / "j.labeling.json")]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / f"out.{fmt}")) == (0, "", "")
+    assert (tmp_path / f"out.{fmt}").read_bytes() == out.encode()
+
+
 def test_export_csv_without_labeling_is_input_error(capsys, tmp_path):
     c3 = tmp_path / "c3.json"
     c3.write_text(json.dumps({"kind": "C", "params": [3]}))

@@ -53,6 +53,22 @@ def test_cli_stdout_matches_golden(capsys, argv, name, code):
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
+LABEL_CASES = [case for case in CLI_CASES if case[0][0] == "label"]
+
+
+@pytest.mark.parametrize("argv, name, code", LABEL_CASES, ids=[c[1] for c in LABEL_CASES])
+def test_label_out_files_match_golden(capsys, tmp_path, argv, name, code):
+    """With --out, the labeling file holds the bytes that stdout shows first
+    without it, and the report file holds what stdout still shows."""
+    command, fixture, *rest = argv
+    prefix = tmp_path / "run"
+    assert main([command, str(FIXTURES / fixture), *rest, "--out", str(prefix)]) == code
+    out = capsys.readouterr().out.encode()
+    fmt = rest[rest.index("--format") + 1] if "--format" in rest else "json"
+    assert Path(f"{prefix}.labeling.{fmt}").read_bytes() + out == (GOLDEN / f"{name}.out").read_bytes()
+    assert Path(f"{prefix}.report.json").read_bytes() == out
+
+
 def test_cli_under_optimize_flag_matches_golden():
     # python -O strips assert statements; the output must not depend on them.
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
