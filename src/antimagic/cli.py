@@ -13,7 +13,7 @@ import gc
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import io as aio
 from .conditions import check_conditions
@@ -142,11 +142,15 @@ def _load_labeling(path: Path, g: Graph) -> Labeling:
     return aio.labeling_from_json(_read_json(path), g)
 
 
-def _emit(text: str, out: Path | None) -> None:
+def _emit(chunks: Iterable[str], out: Path | None) -> None:
+    """Write the chunks of one document to out, or to stdout, as they come.
+    A whole document is passed as `(text,)`: `writelines` would write a
+    bare str one character at a time."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        out.write_text(text, encoding="utf-8")
+        with out.open("w", encoding="utf-8") as file:
+            file.writelines(chunks)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -169,9 +173,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
         ],
     }
     print(f"{summary['vertices']} vertices, {summary['edges']} edges")
-    _emit(aio.canonical_dumps(summary), args.out)
+    _emit((aio.canonical_dumps(summary),), args.out)
     if args.graph_out is not None:
-        _emit(aio.canonical_dumps(aio.graph_to_json(inst.composite)), args.graph_out)
+        _emit((aio.canonical_dumps(aio.graph_to_json(inst.composite)),), args.graph_out)
     return EXIT_OK
 
 
@@ -195,14 +199,14 @@ def _cmd_label(args: argparse.Namespace) -> int:
     report = vertex_sums(inst.composite, run.labeling, chain=chain_spec)
 
     roles = inst.edge_roles if args.format == "json" else None
-    labeling_text = _render(args.format, inst.composite, run.labeling, roles, report.sums)
+    chunks = _render(args.format, inst.composite, run.labeling, roles, report.sums)
     report_text = aio.canonical_dumps(aio.sum_report_to_json(inst.composite, report))
 
-    if args.out is not None:
-        Path(f"{args.out}.labeling.{args.format}").write_text(labeling_text, encoding="utf-8")
-        Path(f"{args.out}.report.json").write_text(report_text, encoding="utf-8")
+    if args.out is None:
+        _emit(chunks, None)
     else:
-        sys.stdout.write(labeling_text)
+        _emit(chunks, Path(f"{args.out}.labeling.{args.format}"))
+        _emit((report_text,), Path(f"{args.out}.report.json"))
     sys.stdout.write(report_text)
     if report.is_antimagic:
         return EXIT_OK
@@ -252,18 +256,20 @@ def _render(
     labeling: Labeling | None,
     roles: Sequence[str] | None,
     sums: Sequence[int] | None,
-) -> str:
-    """g and its labeling as a json, csv or dot document. Without a labeling,
-    json is the graph descriptor and csv is an input error."""
+) -> Iterable[str]:
+    """g and its labeling as the chunks of a json, csv or dot document. A
+    labeling is rendered as it is written. Without a labeling, json is the
+    graph descriptor and csv is an input error."""
+    if labeling is not None and fmt != "dot":
+        return aio.labeling_chunks(fmt, g, labeling, roles, sums)
     if fmt == "json":
-        if labeling is None:
-            return aio.canonical_dumps(aio.graph_to_json(g))
-        return aio.canonical_dumps(aio.labeling_to_json(g, labeling, roles, sums))
+        return (aio.canonical_dumps(aio.graph_to_json(g)),)
     if fmt == "csv":
-        if labeling is None:
-            raise aio.SpecError("csv export needs --labeling")
-        return aio.labeling_to_csv(g, labeling)
-    return aio.to_dot(g, labeling, sums)
+        raise aio.SpecError("csv export needs --labeling")
+    # Whole, not streamed: with no bound on the vertex count yet, a streamed
+    # dot of {"vertices": 10**20} would write without end instead of running
+    # out of memory and exiting 65 (the io.to_dot FOUND line in CHANGES.md).
+    return (aio.to_dot(g, labeling, sums),)
 
 
 if __name__ == "__main__":

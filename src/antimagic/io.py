@@ -8,6 +8,12 @@ by exact type, so `bool` is never written by `%d`. Exporting and
 re-importing a graph or labeling is lossless. A labeling document's edge
 roles are the strings of `CoronaInstance.edge_roles`, written as given.
 
+`labeling_chunks` writes a labeling document, JSON or CSV, as chunks of
+text rendered straight from the graph's edges and the labels, roles and
+sums, with the same row templates and the same bytes, so that a writer
+can pass each chunk on as it comes and hold neither one dict per edge nor
+the whole document. `labeling_to_json` builds the same document as a value.
+
 Readers take JSON values by exact type: integers are `int` and never
 `bool`, flags are `bool`. A malformed descriptor raises `SpecError`; a
 malformed labeling entry raises `NotABijection`.
@@ -22,7 +28,7 @@ from collections import Counter
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .corona import CoronaInstance, build_type1, build_type2, normalize_attachments
 from .graphs import Graph, Labeling, make_graph, preset_graph
@@ -98,15 +104,22 @@ def _encode(obj: Any, level: int) -> str:
 
 
 def _fill(row: str, count: int, sep: str, *columns: Iterable[Any]) -> str:
+    return "".join(_chunks(row, count, sep, *columns))
+
+
+def _chunks(row: str, count: int, sep: str, *columns: Iterable[Any]) -> Iterator[str]:
     """`count` copies of the template `row`, joined by `sep` and filled in
-    order with one value from each column per row, `_CHUNK` rows per `%`."""
+    order with one value from each column per row: one chunk of text per
+    `_CHUNK` rows, each filled by one `%`."""
     values = chain.from_iterable(zip(*columns))
     full, tail = divmod(count, _CHUNK)
-    template = sep.join([row] * _CHUNK) if full else ""
-    chunks = [template % tuple(islice(values, _CHUNK * len(columns))) for _ in range(full)]
+    if full:
+        first = sep.join([row] * _CHUNK)
+        rest = sep + first
+        for n in range(full):
+            yield (rest if n else first) % tuple(islice(values, _CHUNK * len(columns)))
     if tail:
-        chunks.append(sep.join([row] * tail) % tuple(values))
-    return sep.join(chunks)
+        yield ((sep if full else "") + sep.join([row] * tail)) % tuple(values)
 
 
 def _column(values: Sequence[Any]) -> tuple[str, Iterable[Any]] | None:
@@ -277,6 +290,45 @@ def labeling_to_json(
     return out
 
 
+def labeling_chunks(
+    fmt: str,
+    g: Graph,
+    labeling: Labeling,
+    roles: Sequence[str] | None = None,
+    sums: Sequence[int] | None = None,
+) -> Iterator[str]:
+    """The labeling document in `fmt`, json or csv, as chunks of text of
+    `_CHUNK` rows each, rendered straight from g's edges, the int labels,
+    one role string per edge and the sums, with no object per edge.
+
+    The json chunks join to `canonical_dumps(labeling_to_json(g, labeling,
+    roles, sums))`. The csv document is rows edge_u,edge_v,label under that
+    header, each value written as `str` writes it, which is what
+    `csv.writer` writes for an integer; it has no roles or sums.
+    """
+    if len(labeling.labels) != g.edge_count or (roles is not None and len(roles) != g.edge_count):
+        raise ValueError(f"labels and roles need one entry per edge, {g.edge_count} in all")
+    us, vs = map(itemgetter(0), g.edges), map(itemgetter(1), g.edges)
+    if fmt == "csv":
+        yield "edge_u,edge_v,label\n"
+        yield from _chunks("%s,%s,%s\n", g.edge_count, "", us, vs, labeling.labels)
+        return
+    fields, columns = ['"label": %d', '"u": %d', '"v": %d'], [labeling.labels, us, vs]
+    if roles is not None:
+        fields.insert(1, '"role": %s')
+        columns.insert(1, map(encode_basestring, roles))
+    if g.edge_count:
+        yield '{\n  "edges": [\n    '
+        row = "{\n      " + ",\n      ".join(fields) + "\n    }"
+        yield from _chunks(row, g.edge_count, ",\n    ", *columns)
+        yield "\n  ]"
+    else:
+        yield '{\n  "edges": []'
+    if sums is not None:
+        yield ',\n  "sums": ' + _encode(list(sums), 1)
+    yield "\n}\n"
+
+
 def labeling_from_json(obj: Mapping[str, Any], g: Graph) -> Labeling:
     """Rebuild a labeling for g from an exported edge list, matching by
     vertex pair. Entries need exact integers (not booleans) for u, v and
@@ -307,13 +359,6 @@ def labeling_from_json(obj: Mapping[str, Any], g: Graph) -> Labeling:
     if len(by_pair) != g.edge_count:
         raise SpecError("labeling lists edges not present in the graph")
     return Labeling(ordered, g.edge_count)
-
-
-def labeling_to_csv(g: Graph, labeling: Labeling) -> str:
-    """The labeling as CSV rows edge_u,edge_v,label, each value written as
-    `str` writes it, which is what `csv.writer` writes for an integer."""
-    us, vs = map(itemgetter(0), g.edges), map(itemgetter(1), g.edges)
-    return "edge_u,edge_v,label\n" + _fill("%s,%s,%s\n", g.edge_count, "", us, vs, labeling.labels)
 
 
 def labeling_from_csv(text: str, g: Graph) -> Labeling:

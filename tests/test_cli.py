@@ -7,11 +7,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from antimagic import cli
+from antimagic import cli, run_type2, vertex_sums
+from antimagic import io as aio
 from antimagic.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -659,6 +661,13 @@ COMMANDS = {
     "export": lambda f: (
         "export", f["graph"], "--format", "dot", "--labeling", f["labeling"], "--out", f["dir"] / "out.dot"
     ),
+    "label-csv": lambda f: ("label", f["spec"], "--format", "csv", "--out", f["dir"] / "again"),
+    "export-json": lambda f: (
+        "export", f["graph"], "--format", "json", "--labeling", f["labeling"], "--out", f["dir"] / "out.json"
+    ),
+    "export-csv": lambda f: (
+        "export", f["graph"], "--format", "csv", "--labeling", f["labeling"], "--out", f["dir"] / "out.csv"
+    ),
     "search-random": lambda f: ("search", f["graph"], "--random", "--budget", "40"),
     "search-exhaustive": lambda f: ("search", f["hard"], "--exhaustive"),
 }
@@ -678,3 +687,56 @@ def test_command_data_is_acyclic(capsys, tmp_path, restore_collector, command):
         assert run_cli(capsys, *map(str, argv))[0] in (cli.EXIT_OK, cli.EXIT_NOT_ANTIMAGIC)
         found[size] = gc.collect()
     assert found["small"] == found["large"], found
+
+
+def test_emit_gets_chunks_not_a_bare_str(capsys, tmp_path, monkeypatch):
+    """`writelines` writes a bare str one character at a time, so every
+    writer hands `_emit` an iterable of chunks."""
+    emit, seen = cli._emit, []
+
+    def recorded(chunks, out):
+        seen.append(type(chunks))
+        emit(chunks, out)
+
+    monkeypatch.setattr(cli, "_emit", recorded)
+    files = _command_inputs(capsys, tmp_path, "small")
+    for argv in [make(files) for make in COMMANDS.values()] + [
+        ("label", files["spec"], "--format", fmt) for fmt in ("json", "csv", "dot")
+    ] + [("export", files["graph"], "--format", fmt, "--labeling", files["labeling"]) for fmt in ("json", "csv")]:
+        assert run_cli(capsys, *map(str, argv))[0] in (cli.EXIT_OK, cli.EXIT_NOT_ANTIMAGIC)
+    assert len(seen) > len(COMMANDS) and str not in seen
+
+
+def test_label_out_holds_no_copy_of_the_document(capsys, tmp_path):
+    """`label --out` writes the labeling as it renders it: the traced peak of
+    the whole command stays below what the instance, the run, the roles and
+    the sums hold before the write, plus the size of the document. Writing
+    the document whole, from one dict per edge, peaks at more than twice
+    that bound."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "base": {"type": "spider", "param": 4},
+        "attachments": [{"kind": "K", "params": [2]}] * 9 + [{"kind": "K", "params": [120]}] * 3,
+    }))
+    argv = ["label", str(spec), "--out", str(tmp_path / "run")]
+    assert run_cli(capsys, *argv)[0] == 0  # imports and first calls happen here
+    document = (tmp_path / "run.labeling.json").stat().st_size
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        inst, _ = aio.instance_from_json(json.loads(spec.read_text(encoding="utf-8")))
+        run = run_type2(inst)
+        kept = (inst, run, inst.edge_roles, vertex_sums(inst.composite, run.labeling).sums)
+        edges = inst.composite.edge_count
+        live = tracemalloc.get_traced_memory()[0] - start
+        del inst, run, kept
+        gc.collect()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert run_cli(capsys, *argv)[0] == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert edges == 22_197
+    assert peak < live + document, (peak, live, document)

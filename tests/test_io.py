@@ -226,7 +226,7 @@ def test_labeling_json_round_trip(spider_p2):
 
 def test_labeling_csv_round_trip(spider_p2):
     labeling = run_type2(spider_p2).labeling
-    text = aio.labeling_to_csv(spider_p2.composite, labeling)
+    text = "".join(aio.labeling_chunks("csv", spider_p2.composite, labeling))
     assert text.splitlines()[0] == "edge_u,edge_v,label"
     back = aio.labeling_from_csv(text, spider_p2.composite)
     assert back == labeling
@@ -241,7 +241,7 @@ def test_labeling_csv_is_what_csv_writer_writes(kind, params):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["edge_u", "edge_v", "label"])
     writer.writerows([u, v, label] for (u, v), label in zip(g.edges, labeling.labels))
-    assert aio.labeling_to_csv(g, labeling) == buf.getvalue()
+    assert "".join(aio.labeling_chunks("csv", g, labeling)) == buf.getvalue()
 
 
 def test_report_with_duplicates_writes_groups_as_lists():
@@ -417,6 +417,55 @@ def test_canonical_dumps_matches_json_on_cli_documents():
         aio.graph_to_json(inst.composite),
     ):
         assert aio.canonical_dumps(doc) == reference_dumps(doc)
+
+
+ROLE_WORDS = WORDS + ["\x00", "\x1f", "\x7f", "\u2028"]
+
+
+def _csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("count", [0, 1, K - 1, K, K + 1, 2 * K + 1])
+@settings(max_examples=12, deadline=None)
+@example(roles_on=False, words=["a"], labels=[1], sums=None)
+@example(roles_on=True, words=ROLE_WORDS, labels=[3, 2**70], sums=[])
+@example(roles_on=True, words=['"%s\\'], labels=[-5], sums=[7, -2**300, 0])
+@given(
+    roles_on=st.booleans(),
+    words=st.lists(st.sampled_from(ROLE_WORDS) | TEXT, min_size=1, max_size=6),
+    labels=st.lists(INTS, min_size=1, max_size=5),
+    sums=st.none() | st.just([]) | st.lists(INTS, min_size=1, max_size=20),
+)
+def test_labeling_chunks_match_the_whole_document(count, roles_on, words, labels, sums):
+    """The chunks of a labeling document join to what `canonical_dumps` and
+    `json.dumps` write for `labeling_to_json`, one chunk per `_CHUNK` rows,
+    and the csv chunks are what `csv.writer` writes for the same rows."""
+    g = preset_graph("path", [count + 1])
+    labeling = Labeling(tuple(labels[i % len(labels)] for i in range(count)), count)
+    roles = [words[i % len(words)] * (i % 3) for i in range(count)] if roles_on else None
+    doc = aio.labeling_to_json(g, labeling, roles, sums)
+    chunks = list(aio.labeling_chunks("json", g, labeling, roles, sums))
+    assert "".join(chunks) == aio.canonical_dumps(doc) == reference_dumps(doc)
+    assert max(chunk.count('"u": ') for chunk in chunks) == min(count, K)
+
+    rows = [[u, v, label] for (u, v), label in zip(g.edges, labeling.labels)]
+    expected = [_csv_text([["edge_u", "edge_v", "label"]])]
+    expected += [_csv_text(rows[at : at + K]) for at in range(0, count, K)]
+    assert list(aio.labeling_chunks("csv", g, labeling)) == expected
+
+
+@pytest.mark.parametrize("labels, roles", [((1,), ["a", "b"]), ((1, 2, 3), None), ((1, 2), ["a"]), ((1, 2), "abc")])
+def test_labeling_writers_reject_a_column_of_another_length(labels, roles):
+    g = preset_graph("path", [3])
+    labeling = Labeling(labels, g.edge_count)
+    with pytest.raises(ValueError):
+        aio.labeling_to_json(g, labeling, roles)
+    for fmt in ("json", "csv"):
+        with pytest.raises(ValueError, match="one entry per edge, 2 in all"):
+            next(aio.labeling_chunks(fmt, g, labeling, roles))
 
 
 def test_canonical_dumps_reports_a_circular_reference_like_json():
