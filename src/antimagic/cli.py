@@ -126,6 +126,10 @@ def _read_json(path: Path) -> object:
         return json.loads(text)
     except RecursionError:
         raise aio.SpecError(f"{path}: JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
+        raise aio.SpecError(f"{path}: {exc}") from None
 
 
 def _read_text(path: Path) -> str:

@@ -10,6 +10,11 @@ degree, and per base vertex its composite degree, which is its base degree
 plus the order of each block on an incident base edge. The rows then compare
 only those numbers; the composite degree of a block vertex is its attachment
 degree plus 2. Nothing walks the composite.
+
+Three kinds of row make every table: `_chain` for the size chains
+|V(Hi)| <= |V(H(i+1))| and the degree chains max deg Hi <= min deg H(i+1),
+`_tip_link` for a base vertex against a block, and `_cond` for the rest
+(`Condition` itself for the one strict row, T41-h0h1).
 """
 
 from __future__ import annotations
@@ -65,9 +70,9 @@ def check_conditions(inst: CoronaInstance) -> ConditionReport:
 
 def _pan_conditions(r: int, n: _Ints, lo: _Ints, hi: _Ints, deg: list[int]) -> list[Condition]:
     return [
-        *_size_chain("T41-size-{}", n, range(r)),
+        *_chain("T41-size-{}", _SIZE, n, n, range(r)),
         Condition("T41-h0h1", "max deg H0 < min deg H1", hi[0], lo[1], hi[0] < lo[1]),
-        *_degree_chain("T41-chain-{}", lo, hi, range(1, r)),
+        *_chain("T41-chain-{}", _DEGREE, hi, lo, range(1, r)),
         *(_tip_link(f"T41-star-{i}", "u0", deg[0], lo, i) for i in range(r + 1)),
         _cond("T41-cap", f"max composite deg over H{r} <= composite deg u1", hi[r] + 2, deg[1]),
     ]
@@ -82,8 +87,8 @@ def _spider_conditions(p: int, n: _Ints, lo: _Ints, hi: _Ints, deg: list[int]) -
     general = p > 2
     tip_id = "T43-ii-{}" if general else "T42-deg-{}2"
     out = [
-        *_size_chain("T43-size-{}" if general else "T42-size-{}", n, range(1, 3 * p)),
-        *_degree_chain("T43-i-{}" if general else "T42-chain-{}", lo, hi, range(1, 3 * p)),
+        *_chain("T43-size-{}" if general else "T42-size-{}", _SIZE, n, n, range(1, 3 * p)),
+        *_chain("T43-i-{}" if general else "T42-chain-{}", _DEGREE, hi, lo, range(1, 3 * p)),
         *(
             _tip_link(tip_id.format(x), "of leg tip", deg[spider_leg_vertex(p, leg, p)],
                       lo, leg + 2)
@@ -101,17 +106,19 @@ def _spider_conditions(p: int, n: _Ints, lo: _Ints, hi: _Ints, deg: list[int]) -
     return out
 
 
-def _size_chain(id_format: str, n: _Ints, blocks: range) -> list[Condition]:
-    """|V(Hi)| <= |V(H(i+1))| for each i in blocks."""
-    return [
-        _cond(id_format.format(i), f"|V(H{i})| <= |V(H{i + 1})|", n[i], n[i + 1]) for i in blocks
-    ]
+# A chain row's description around the ids of Hi and H(i+1), cut where `_chain`
+# puts them: the f-string it builds them with is cheaper than `str.format`.
+_SIZE = "|V(H{})| <= |V(H{})|".split("{}")
+_DEGREE = "max deg H{} <= min deg H{}".split("{}")
 
 
-def _degree_chain(id_format: str, lo: _Ints, hi: _Ints, blocks: range) -> list[Condition]:
-    """max deg Hi <= min deg H(i+1) for each i in blocks."""
+def _chain(id_fmt: str, cut: list[str], lhs: _Ints, rhs: _Ints, blocks: range) -> list[Condition]:
+    """The row id_fmt.format(i), lhs[i] <= rhs[i + 1], for each i in blocks:
+    |V(Hi)| <= |V(H(i+1))| with `_SIZE`, n and n, or max deg Hi <= min deg
+    H(i+1) with `_DEGREE`, hi and lo."""
+    before, between, after = cut
     return [
-        _cond(id_format.format(i), f"max deg H{i} <= min deg H{i + 1}", hi[i], lo[i + 1])
+        _cond(id_fmt.format(i), f"{before}{i}{between}{i + 1}{after}", lhs[i], rhs[i + 1])
         for i in blocks
     ]
 

@@ -120,6 +120,10 @@ def make_graph(
             raise BadParams("names length must equal vertex_count")
         if not set(map(type, name_tuple)) <= {str}:
             raise BadParams("names must be strings")
+        try:
+            "".join(name_tuple).encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate, such as JSON's "\ud800"
+            raise BadParams(f"names must be Unicode text: {exc.reason}") from None
         if len(set(name_tuple)) != vertex_count:
             raise BadParams("names must be distinct")
     return Graph(vertex_count, tuple(canonical), name_tuple)

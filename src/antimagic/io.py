@@ -2,9 +2,10 @@
 
 JSON output is canonical: for every JSON value, `canonical_dumps` returns
 exactly `json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`
-followed by one newline, written as UTF-8. It writes bulk lists and dicts
-through row templates, filling many rows with one `%`, and types columns
-by exact type, so `bool` is never written by `%d`. Exporting and
+followed by one newline, written as UTF-8. Lists and str-keyed dicts go
+through one container path: their items, a dict's in key order, are
+written through row templates, many rows filled by one `%`, with columns
+typed by exact type, so `bool` is never written by `%d`. Exporting and
 re-importing a graph or labeling is lossless. A labeling document's edge
 roles are the strings of `CoronaInstance.edge_roles`, written as given.
 
@@ -52,10 +53,12 @@ def canonical_dumps(obj: Any) -> str:
     newline, byte for byte.
 
     `indent` sends `json` to its pure-Python encoder, so this renders the
-    bulk shapes itself: lists and dict values of one scalar type, and lists
-    of flat rows of one shape (the labeling edges, the report chain, the
-    composite's edge pairs). Each shape has one row template, repeated
-    `_CHUNK` times and filled by one `%` per chunk of rows. Columns are
+    bulk shapes itself. A list and the values of a dict with str keys are
+    read alike, as items: items of one scalar type, or flat rows of one
+    shape (the labeling edges, the report chain, the composite's edge
+    pairs). Each shape has one row template, after a `"key": ` field for a
+    dict, repeated `_CHUNK` times and filled by one `%` per chunk of rows;
+    other items fill the template `%s` one by one. Columns are
     typed by exact type: `int` values fill `%d` fields as they are, `str`
     values fill `%s` fields through `encode_basestring`, and `bool`, an
     `int` subclass, fills `%s` with `true`/`false`. Everything else goes
@@ -85,26 +88,20 @@ def _encode(obj: Any, level: int) -> str:
     inner = "\n" + _INDENT * (level + 1)
     outer = "\n" + _INDENT * level
     if kind is dict and set(map(type, obj)) <= {str}:
-        if not obj:
-            return "{}"
         keys = sorted(obj)
-        values = list(map(obj.__getitem__, keys))
-        field, body = _column(values) or ("%s", map(_encode, values, repeat(level + 1)))
-        items = _fill("%s: " + field, len(keys), "," + inner, map(encode_basestring, keys), body)
-        return f"{{{inner}{items}{outer}}}"
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        row, *columns = _column(obj) or _rows(obj, level + 1) or ("%s", map(_encode, obj, repeat(level + 1)))
-        return f"[{inner}{_fill(row, len(obj), ',' + inner, *columns)}{outer}]"
-    # Floats, None, subclasses, non-str keys: JSON text holds no raw
-    # newline, so indenting every line break places the subtree at `level`.
-    text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
-    return text.replace("\n", outer)
-
-
-def _fill(row: str, count: int, sep: str, *columns: Iterable[Any]) -> str:
-    return "".join(_chunks(row, count, sep, *columns))
+        items = list(map(obj.__getitem__, keys))
+        brackets, prefix, key_columns = "{}", "%s: ", [map(encode_basestring, keys)]
+    elif kind is list or kind is tuple:
+        items, brackets, prefix, key_columns = obj, "[]", "", []
+    else:
+        # Floats, None, subclasses, non-str keys: JSON text holds no raw
+        # newline, so indenting every line break places the subtree at `level`.
+        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", outer)
+    if not items:
+        return brackets
+    row, *columns = _column(items) or _rows(items, level + 1) or ("%s", map(_encode, items, repeat(level + 1)))
+    body = "".join(_chunks(prefix + row, len(items), "," + inner, *key_columns, *columns))
+    return f"{brackets[0]}{inner}{body}{outer}{brackets[1]}"
 
 
 def _chunks(row: str, count: int, sep: str, *columns: Iterable[Any]) -> Iterator[str]:
@@ -274,16 +271,10 @@ def labeling_to_json(
 ) -> dict[str, Any]:
     """The labeling as {"edges": [{"u", "v", "label"[, "role"]}...][, "sums"]},
     with `roles` (such as `CoronaInstance.edge_roles`) written as given."""
-    if roles is None:
-        edges = [
-            {"u": u, "v": v, "label": label}
-            for (u, v), label in zip(g.edges, labeling.labels, strict=True)
-        ]
-    else:
-        edges = [
-            {"u": u, "v": v, "label": label, "role": role}
-            for (u, v), label, role in zip(g.edges, labeling.labels, roles, strict=True)
-        ]
+    columns = {"u": map(itemgetter(0), g.edges), "v": map(itemgetter(1), g.edges), "label": labeling.labels}
+    if roles is not None:
+        columns["role"] = roles
+    edges = [dict(zip(columns, row)) for row in zip(*columns.values(), strict=True)]
     out: dict[str, Any] = {"edges": edges}
     if sums is not None:
         out["sums"] = list(sums)

@@ -114,9 +114,7 @@ def run_type1(inst: CoronaInstance, *, force: bool = False) -> LabelingRun:
     the rim edges. The chain runs u0, the ranked vertices of H0..Hr, then
     u1..ur.
     """
-    if inst.kind != "pan":
-        raise WrongBaseType("run_type1 needs a pan-base instance")
-    _require_conditions(inst, force)
+    _require_conditions(inst, "pan", "run_type1", force)
     r = inst.param
     h0 = inst.blocks[0]
     steps: list[tuple] = [("link", "u0", 0), ("run", (0, *h0.cross_fan(0)))]
@@ -145,9 +143,7 @@ def run_type2(inst: CoronaInstance, *, force: bool = False) -> LabelingRun:
     vertices x(p-1), y(p-1), z(p-1), ..., x2, y2, z2, the ranked center star
     c1..cM, then v0.
     """
-    if inst.kind != "spider":
-        raise WrongBaseType("run_type2 needs a spider-base instance")
-    _require_conditions(inst, force)
+    _require_conditions(inst, "spider", "run_type2", force)
     p = inst.param
     if p == 1:
         return _universal_run(inst.composite, hub=0)
@@ -286,7 +282,11 @@ def _universal_run(g: Graph, hub: int) -> LabelingRun:
     return run
 
 
-def _require_conditions(inst: CoronaInstance, force: bool) -> None:
+def _require_conditions(inst: CoronaInstance, kind: str, runner: str, force: bool) -> None:
+    """Raise WrongBaseType unless inst has a `kind` base, which `runner`
+    labels, and ConditionsNotMet if its hypotheses fail and force is not set."""
+    if inst.kind != kind:
+        raise WrongBaseType(f"{runner} needs a {kind}-base instance")
     if force:
         return
     report = check_conditions(inst)

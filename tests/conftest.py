@@ -73,3 +73,30 @@ def spider_p4():
 
 def named_sums(inst, report):
     return {inst.composite.name_of(v): s for v, s in enumerate(report.sums)}
+
+
+def ranked(run, block):
+    """The ranked block of a labeling run whose block id is `block`."""
+    for rk in run.ranked_blocks:
+        if rk.block == block:
+            return rk
+    raise AssertionError(f"no ranked block {block}")
+
+
+def recomputed_sums(g, labels):
+    """The vertex sums of g under labels (one per edge, in edge order),
+    recomputed here rather than taken from the verifier."""
+    sums = [0] * g.vertex_count
+    for (u, v), label in zip(g.edges, labels, strict=True):
+        sums[u] += label
+        sums[v] += label
+    return sums
+
+
+def plain_enumeration(g):
+    """Independent search oracle: the first permutation of 1..|E|, in
+    lexicographic order, whose vertex sums are distinct, or None."""
+    for perm in itertools.permutations(range(1, g.edge_count + 1)):
+        if len(set(recomputed_sums(g, perm))) == g.vertex_count:
+            return perm
+    return None

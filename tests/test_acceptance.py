@@ -7,7 +7,6 @@ of the construction code (see the per-criterion comments).
 
 from __future__ import annotations
 
-import itertools
 import random
 from contextlib import contextmanager
 
@@ -24,7 +23,7 @@ from antimagic import (
     vertex_sums,
 )
 
-from .conftest import named_sums
+from .conftest import named_sums, plain_enumeration, ranked
 
 
 def K(n):
@@ -53,13 +52,6 @@ def criterion(number, title):
     print(f"[PASS] criterion {number}: {title}")
 
 
-def _ranked(run, block):
-    for rk in run.ranked_blocks:
-        if rk.block == block:
-            return rk
-    raise AssertionError(f"no ranked block {block}")
-
-
 def _block_totals(inst, sums):
     return {blk.index: sum(sums[v] for v in blk.vertex_ids) for blk in inst.blocks}
 
@@ -73,7 +65,7 @@ def test_criterion_1_pan_fixture():
         assert len(set(report.sums)) == 26
         sums = named_sums(inst, report)
         assert [sums[f"u{i}"] for i in range(6)] == [6, 321, 392, 444, 546, 649]
-        a0 = _ranked(run, 0)
+        a0 = ranked(run, 0)
         assert [report.sums[v] for v in a0.vertices] == [32, 34]
         # Block totals from the fixture's published per-vertex sums:
         # 32+34, 70+73+76, 88+91+94, 107+111+113+117, 131+137+155+159,
@@ -96,9 +88,9 @@ def test_criterion_2_spider_p2_fixture():
         assert sorted(run.labeling.labels) == list(range(1, 72))
         report = vertex_sums(inst.composite, run.labeling)
         assert len(set(report.sums)) == 27
-        assert [report.sums[v] for v in _ranked(run, 1).vertices] == [7, 9, 11]
-        assert [report.sums[v] for v in _ranked(run, 2).vertices] == [38, 41, 44, 49]
-        a3 = _ranked(run, 3)
+        assert [report.sums[v] for v in ranked(run, 1).vertices] == [7, 9, 11]
+        assert [report.sums[v] for v in ranked(run, 2).vertices] == [38, 41, 44, 49]
+        a3 = ranked(run, 3)
         assert sum(report.sums[v] for v in a3.vertices) == 332
         assert report.sums[0] == 960
         assert run.chain_holds
@@ -123,7 +115,7 @@ def test_criterion_3_spider_p4_fixture():
             9: [106, 108],
         }
         for block, values in expected_blocks.items():
-            assert [report.sums[v] for v in _ranked(run, block).vertices] == values
+            assert [report.sums[v] for v in ranked(run, block).vertices] == values
         sums = named_sums(inst, report)
         legs = sorted(sums[k] for k in ("x2", "x3", "y2", "y3", "z2", "z3"))
         assert legs == [139, 162, 185, 239, 249, 259]
@@ -242,17 +234,6 @@ def _random_small_graph(rng, max_edges):
             return make_graph(n, edges)
 
 
-def _plain_enumeration_finds(g):
-    for perm in itertools.permutations(range(1, g.edge_count + 1)):
-        sums = [0] * g.vertex_count
-        for edge_id, (u, v) in enumerate(g.edges):
-            sums[u] += perm[edge_id]
-            sums[v] += perm[edge_id]
-        if len(set(sums)) == g.vertex_count:
-            return True
-    return False
-
-
 def test_criterion_6_oracle_agreement():
     with criterion(6, "search oracle agreement on small graphs"):
         from antimagic import brute_force_search
@@ -296,7 +277,7 @@ def test_criterion_6_oracle_agreement():
             else:
                 assert outcome.status is Status.EXHAUSTED_NONE
                 if g.edge_count <= 7:
-                    assert not _plain_enumeration_finds(g)
+                    assert plain_enumeration(g) is None
 
         k2 = preset_graph("complete", [2])
         assert brute_force_search(k2).status is Status.EXHAUSTED_NONE

@@ -452,7 +452,7 @@ def test_boolean_force_option_still_forces(capsys, tmp_path):
 
 
 def test_verify_repeated_vertex_names_is_input_error(capsys, tmp_path):
-    for names in (["a", "a", "b"], ["a", 1, "b"], "abc"):
+    for names in (["a", "a", "b"], ["a", 1, "b"], "abc", ["a", "\ud800", "b"]):
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"vertices": 3, "edges": [[0, 1], [1, 2]], "names": names}))
         lab = tmp_path / "lab.json"
@@ -470,12 +470,16 @@ def _p3_graph(tmp_path):
 
 
 def _unreadable_files(tmp_path):
-    """A file that is not UTF-8, and JSON nested 100,000 deep."""
+    """A file that is not UTF-8, JSON nested 100,000 deep, and JSON holding
+    an integer of 4,301 digits, one past the limit on converting between
+    int and str (`sys.get_int_max_str_digits()`, 4,300 by default)."""
     not_utf8 = tmp_path / "not_utf8.json"
     not_utf8.write_bytes(b"\xff\xfe{}")
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
-    return not_utf8, deep
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"vertices": %s, "edges": []}' % ("9" * 4301))
+    return not_utf8, deep, long_int
 
 
 def test_unreadable_spec_is_input_error(capsys, tmp_path):
@@ -489,20 +493,33 @@ def test_unreadable_spec_is_input_error(capsys, tmp_path):
 
 def test_unreadable_graph_or_labeling_is_input_error(capsys, tmp_path):
     p3 = _p3_graph(tmp_path)
-    not_utf8, deep = _unreadable_files(tmp_path)
+    not_utf8, deep, long_int = _unreadable_files(tmp_path)
     not_utf8_csv = tmp_path / "lab.csv"
     not_utf8_csv.write_bytes(b"edge_u,edge_v,label\n0,1,\xff\n")
     huge_field_csv = tmp_path / "huge.csv"  # over csv.field_size_limit()
     huge_field_csv.write_text("edge_u,edge_v,label\n" + "1" * 200_000 + ",0,1\n")
-    labelings = (not_utf8, deep, not_utf8_csv, huge_field_csv)
+    labelings = (not_utf8, deep, long_int, not_utf8_csv, huge_field_csv)
     runs = [("verify", p3, lab) for lab in labelings]
-    runs += [("verify", g, p3) for g in (not_utf8, deep)]
+    for g in (not_utf8, deep, long_int):
+        runs += [("verify", g, p3), ("search", g, "--random"), ("export", g)]
     runs += [("export", p3, "--labeling", lab) for lab in labelings]
     for argv in runs:
         code, out, err = run_cli(capsys, *map(str, argv))
         assert code == 65, argv
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_export_of_a_lone_surrogate_name_writes_nothing(capsys, tmp_path, fmt):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]], "names": ["\ud800", "b"]}))
+    out_file = tmp_path / f"out.{fmt}"
+    code, out, err = run_cli(capsys, "export", str(graph), "--format", fmt, "--out", str(out_file))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: names") and err.count("\n") == 1
+    assert not out_file.exists()
 
 
 def test_boolean_params_is_input_error(capsys, tmp_path):

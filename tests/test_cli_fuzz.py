@@ -1,6 +1,8 @@
 """Fuzz of the CLI input boundary: whatever the files hold, a command ends
 with a documented exit code and at most one line on stderr, and exit 1
-("verified not antimagic") only for a graph and labeling that validate."""
+("verified not antimagic") only for a graph and labeling that validate.
+Output goes through a strict UTF-8 stream, as it does to a file or a
+terminal, and an export that fails writes no `--out` file."""
 
 from __future__ import annotations
 
@@ -19,10 +21,14 @@ from antimagic import vertex_sums
 from antimagic.cli import main
 
 EXIT_CODES = {0, 1, 2, 3, 4, 65}
-TEXT = st.text(max_size=3) | st.sampled_from(["\n", "a\nb", "\ud800", "%s", "é"])
+LONE_SURROGATES = ["\ud800", "a\udfffb"]
+TEXT = st.text(max_size=3) | st.sampled_from(["\n", "a\nb", "%s", "é", *LONE_SURROGATES])
 SMALL = st.integers(-1, 6)
+# Powers of ten with 4,290 to 5,000 digits, on both sides of the limit on
+# converting between int and str (4,300 digits by default).
+LONG = st.integers(4289, 4999).map(lambda exponent: 10**exponent)
 JUNK = st.recursive(
-    st.none() | st.booleans() | SMALL | st.floats(-2, 6) | TEXT,
+    st.none() | st.booleans() | SMALL | LONG | st.floats(-2, 6) | TEXT,
     lambda children: st.lists(children, max_size=3) | st.dictionaries(TEXT, children, max_size=3),
     max_leaves=6,
 )
@@ -56,7 +62,10 @@ def explicit_graphs(draw):
         edges.append([draw(SMALL), draw(SMALL)])
     graph = {"vertices": n, "edges": edges}
     if draw(st.booleans()):
-        graph["names"] = draw(st.lists(TEXT, min_size=n, max_size=n) | st.just([f"v{i}" for i in range(n)]))
+        names = [f"v{i}" for i in range(n)]
+        if n and draw(st.booleans()):  # one name with a lone surrogate
+            names[draw(st.integers(0, n - 1))] += draw(st.sampled_from(LONE_SURROGATES))
+        graph["names"] = draw(st.lists(TEXT, min_size=n, max_size=n) | st.just(names))
     return _corrupt(draw, graph, [("vertices",), ("edges",), ("names",)])
 
 
@@ -92,9 +101,27 @@ def labelings(draw, graph):
     return _corrupt(draw, doc, paths)
 
 
+@contextlib.contextmanager
+def any_int_digits():
+    """Lift the limit on int to str conversion, so that `LONG` values can be
+    written into the files; reading them back is what the CLI must survive."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _dumps(doc, **kwargs):
+    with any_int_digits():
+        return json.dumps(doc, **kwargs)
+
+
 def _csv(doc):
     entries = doc["edges"] if isinstance(doc["edges"], list) else []
-    rows = [f"{e.get('u')},{e.get('v')},{e.get('label')}" for e in entries if isinstance(e, dict)]
+    with any_int_digits():
+        rows = [f"{e.get('u')},{e.get('v')},{e.get('label')}" for e in entries if isinstance(e, dict)]
     return "\n".join(["edge_u,edge_v,label", *rows, ""]).encode("utf-8", "surrogatepass")
 
 
@@ -121,9 +148,9 @@ def contents(docs):
     """File bytes: a JSON document as UTF-8, in another encoding, raw bytes,
     or a document holding a deeply nested value."""
     encoded = st.tuples(docs, st.sampled_from(["utf-16", "utf-8-sig", "latin-1"])).map(
-        lambda pair: json.dumps(pair[0], ensure_ascii=False).encode(pair[1], "replace")
+        lambda pair: _dumps(pair[0], ensure_ascii=False).encode(pair[1], "replace")
     )
-    plain = docs.map(lambda doc: json.dumps(doc).encode())
+    plain = docs.map(lambda doc: _dumps(doc).encode())
     return st.integers(0, 2).flatmap(lambda i: plain if i else encoded | st.binary(max_size=24) | DEEP)
 
 
@@ -173,11 +200,15 @@ def test_cli_input_boundary(data):
                 argv += ["--format", data.draw(st.sampled_from(["json", "csv", "dot"]))]
                 if data.draw(st.booleans()):
                     argv += ["--labeling", str(labeling)]
+                if data.draw(st.booleans()):
+                    argv += ["--out", str(root / "out")]
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv)
+        with io.TextIOWrapper(io.BytesIO(), encoding="utf-8") as out:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
         if code == 1:
             assert command == "verify" and _validates(graph_bytes, labeling), argv
+        assert code == 0 or not (root / "out").exists(), argv
     stderr = err.getvalue()
     assert code in EXIT_CODES, (argv, code, stderr)
     assert "Traceback" not in stderr

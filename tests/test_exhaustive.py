@@ -15,7 +15,7 @@ import itertools
 
 from antimagic import build_type1, build_type2, check_conditions, run_type1, run_type2, vertex_sums
 
-from .conftest import catalog_combos
+from .conftest import catalog_combos, recomputed_sums
 
 # SHA-256 of the rows (id, description, lhs, rhs, holds) of every instance in
 # each sweep, in sweep order, produced by the code that re-derived orders and
@@ -24,14 +24,6 @@ CONDITION_DIGESTS = {
     "sweep": "2b66e7a73d2de8aa18ef20fbb8b665fd402837a8d273137665c4cc932e6481f9",
     "spider_p3_slice": "d4d6b9702a9c981a798130b42eb5ebf8b92fe9749f5ff9797afec0ec0d29a998",
 }
-
-
-def _recomputed_sums(g, labels):
-    sums = [0] * g.vertex_count
-    for (u, v), label in zip(g.edges, labels):
-        sums[u] += label
-        sums[v] += label
-    return sums
 
 
 def _hypotheses_hold(inst, digest) -> bool:
@@ -46,7 +38,7 @@ def _hypotheses_hold(inst, digest) -> bool:
     assert sorted(run.labeling.labels) == list(range(1, g.edge_count + 1))
     if held:
         assert vertex_sums(g, run.labeling).is_antimagic
-        sums = _recomputed_sums(g, run.labeling.labels)
+        sums = recomputed_sums(g, run.labeling.labels)
         assert run.chain
         assert all(sums[c.left] < sums[c.right] for c in run.chain)
     return held

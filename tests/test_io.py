@@ -340,6 +340,16 @@ def flat_rows(draw):
     return rows
 
 
+def keyed_rows():
+    """A dict whose values are flat rows: the rows of `flat_rows` under
+    distinct keys."""
+    return flat_rows().flatmap(
+        lambda rows: st.lists(TEXT, min_size=len(rows), max_size=len(rows), unique=True).map(
+            lambda keys: dict(zip(keys, rows))
+        )
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(JSON_VALUES)
 def test_canonical_dumps_matches_json_on_any_value(obj):
@@ -352,7 +362,16 @@ def test_canonical_dumps_matches_json_on_any_value(obj):
 @example([{"a": 1}, {"b": 2}])
 @example([{"%s": True, "b": "%d"}, {"%s": False, "b": "%"}])
 @example([{"u": 1, "v": 2}, {"u": 3, "v": 4.0}])
-@given(flat_rows() | st.dictionaries(TEXT, INTS) | st.lists(INTS) | st.lists(TEXT) | st.lists(st.booleans()))
+@example({"a": [1, 2], "%s": [3, 4]})
+@example({"b": {"u": 1}, "a": {"u": True}})
+@given(
+    flat_rows()
+    | keyed_rows()
+    | st.dictionaries(TEXT, INTS)
+    | st.lists(INTS)
+    | st.lists(TEXT)
+    | st.lists(st.booleans())
+)
 def test_canonical_dumps_matches_json_on_bulk_shapes(obj):
     nested = {"rows": obj, "deeper": [{"x": obj}]}
     assert aio.canonical_dumps(obj) == reference_dumps(obj)

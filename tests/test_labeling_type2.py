@@ -18,14 +18,7 @@ from antimagic.labeling import (
     WrongBaseType,
 )
 
-from .conftest import C, K, P, named_sums
-
-
-def _ranked(run, block):
-    for rk in run.ranked_blocks:
-        if rk.block == block:
-            return rk
-    raise AssertionError(f"no ranked block {block}")
+from .conftest import C, K, P, named_sums, ranked
 
 
 def test_spider_p2_exact_sums(spider_p2):
@@ -33,17 +26,17 @@ def test_spider_p2_exact_sums(spider_p2):
     report = vertex_sums(spider_p2.composite, run.labeling)
     assert report.is_antimagic
     assert report.sums[0] == 960
-    a1 = _ranked(run, 1)
+    a1 = ranked(run, 1)
     assert [report.sums[v] for v in a1.vertices] == [7, 9, 11]
-    a2 = _ranked(run, 2)
+    a2 = ranked(run, 2)
     assert [report.sums[v] for v in a2.vertices] == [38, 41, 44, 49]
-    a3 = _ranked(run, 3)
+    a3 = ranked(run, 3)
     assert sum(report.sums[v] for v in a3.vertices) == 332
 
 
 def test_spider_p2_step1_partial_sums(spider_p2):
     run = run_type2(spider_p2)
-    a1 = _ranked(run, 1)
+    a1 = ranked(run, 1)
     assert a1.partial_sums == (3, 4, 5)
 
 
@@ -91,11 +84,11 @@ def test_spider_p4_exact_sums(spider_p4):
     assert report.is_antimagic
     expected_tips = {1: [7, 9, 11], 2: [25, 27, 29], 3: [43, 45, 47]}
     for block, values in expected_tips.items():
-        rk = _ranked(run, block)
+        rk = ranked(run, block)
         assert [report.sums[v] for v in rk.vertices] == values
     expected_mids = {4: [81, 83], 5: [86, 88], 6: [91, 93], 7: [96, 98], 8: [101, 103], 9: [106, 108]}
     for block, values in expected_mids.items():
-        rk = _ranked(run, block)
+        rk = ranked(run, block)
         assert [report.sums[v] for v in rk.vertices] == values
     sums = named_sums(spider_p4, report)
     legs = sorted(sums[k] for k in ("x2", "x3", "y2", "y3", "z2", "z3"))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +21,8 @@ from antimagic import (
 )
 from antimagic.verify import TooLarge
 
+from .conftest import plain_enumeration
+
 # SHA-256 of every `random_search` outcome in `search_digest`, produced by
 # the code that recomputed all vertex sums after each trial swap.
 SEARCH_DIGEST = "30215e8199db3c1e643c53167215a3fcb449b69b1f471f93e6b12b99c24ef697"
@@ -34,19 +35,6 @@ def small_graphs(draw):
     pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pool), unique=True, min_size=1, max_size=6))
     return make_graph(n, edges)
-
-
-def plain_enumeration(g):
-    """Independent oracle: try every permutation in lexicographic order."""
-    m = g.edge_count
-    for perm in itertools.permutations(range(1, m + 1)):
-        sums = [0] * g.vertex_count
-        for edge_id, (u, v) in enumerate(g.edges):
-            sums[u] += perm[edge_id]
-            sums[v] += perm[edge_id]
-        if len(set(sums)) == g.vertex_count:
-            return perm
-    return None
 
 
 def test_k2_exhausted():
