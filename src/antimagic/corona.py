@@ -3,7 +3,9 @@
 An instance names its base by `kind` ("pan" or "spider") and `param` (r for
 the pan on u0..ur, p for the spider with legs of p vertices). The kind's row
 of the preset table in graphs.py gives the parameter's name and least value;
-`_KINDS` adds the one fact the construction needs beyond it.
+`_KINDS` adds two columns: the first block id (0 for pan, 1 for spider) and
+the base's edge count in closed form (r + 1 for pan, 3p for spider), which
+the attachment count is checked against before the base is built.
 
 The composite joins both endpoints of base edge i to every vertex of the
 attachment placed on that edge. Its edges are laid out in contiguous id
@@ -43,8 +45,8 @@ class BadBaseParam(CoronaError):
     """Base parameter outside the supported range."""
 
 
-# kind -> first block id
-_KINDS: dict[str, int] = {"pan": 0, "spider": 1}
+# kind -> (first block id, base edge count as a function of param)
+_KINDS = {"pan": (0, lambda r: r + 1), "spider": (1, lambda p: 3 * p)}
 
 
 class Block(NamedTuple):
@@ -150,9 +152,10 @@ def _build(kind: str, param: int, attachments: Sequence[Graph]) -> CoronaInstanc
     (param_name,), least, _ = _PRESETS[kind]
     if param < least:
         raise BadBaseParam(f"{kind} base needs {param_name} >= {least}, got {param}")
+    first_block, base_edge_count = _KINDS[kind]
+    # Checked before the base is built, whose size grows with param.
+    _check_attachments(attachments, base_edge_count(param))
     base = preset_graph(kind, [param])
-    first_block = _KINDS[kind]
-    _check_attachments(attachments, base.edge_count)
     attachments = tuple(attachments)
     names = list(base.names)
     edges = list(base.edges)

@@ -65,11 +65,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def name_of(self, v: int) -> str:
-        if self.names is not None:
-            return self.names[v]
-        return str(v)
-
 
 @dataclass(frozen=True)
 class Labeling:

@@ -196,10 +196,8 @@ def graph_from_json(obj: Mapping[str, Any]) -> Graph:
 def graph_to_json(g: Graph) -> dict[str, Any]:
     """The graph descriptor of g. Edges and names are g's own tuples, which
     `canonical_dumps` writes exactly as lists."""
-    out: dict[str, Any] = {"vertices": g.vertex_count, "edges": list(g.edges)}
-    if g.names is not None:
-        out["names"] = g.names
-    return out
+    names = {} if g.names is None else {"names": g.names}
+    return {"vertices": g.vertex_count, "edges": g.edges, **names}
 
 
 def instance_from_json(obj: Mapping[str, Any]) -> tuple[CoronaInstance, dict[str, bool]]:
@@ -375,20 +373,18 @@ def to_dot(
     sums: Sequence[int] | None = None,
 ) -> str:
     """Graphviz output with edge labels and per-vertex sums when given."""
-    lines = ["graph antimagic {"]
-    for v in range(g.vertex_count):
-        # Inside a quoted DOT string, backslash and double quote are escaped.
-        label = g.name_of(v).replace("\\", "\\\\").replace('"', '\\"')
-        if sums is not None:
-            label += f"\\nw={sums[v]}"
-        lines.append(f'  {v} [label="{label}"];')
-    for edge_id, (u, v) in enumerate(g.edges):
-        if labeling is not None:
-            lines.append(f'  {u} -- {v} [label="{labeling.labels[edge_id]}"];')
-        else:
-            lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    names = g.names or map(str, range(g.vertex_count))
+    # Inside a quoted DOT string, backslash and double quote are escaped.
+    escaped = (name.replace("\\", "\\\\").replace('"', '\\"') for name in names)
+    vertex_row, vertex_columns = '  %d [label="%s"];\n', [range(g.vertex_count), escaped]
+    if sums is not None:
+        vertex_row, vertex_columns = '  %d [label="%s\\nw=%d"];\n', [*vertex_columns, sums]
+    edge_row, edge_columns = "  %d -- %d;\n", [map(itemgetter(0), g.edges), map(itemgetter(1), g.edges)]
+    if labeling is not None:
+        edge_row, edge_columns = '  %d -- %d [label="%d"];\n', [*edge_columns, labeling.labels]
+    vertex_rows = _chunks(vertex_row, g.vertex_count, "", *vertex_columns)
+    edge_rows = _chunks(edge_row, g.edge_count, "", *edge_columns)
+    return "".join(["graph antimagic {\n", *vertex_rows, *edge_rows, "}\n"])
 
 
 def sum_report_to_json(g: Graph, report: SumReport) -> dict[str, Any]:

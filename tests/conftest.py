@@ -72,7 +72,7 @@ def spider_p4():
 
 
 def named_sums(inst, report):
-    return {inst.composite.name_of(v): s for v, s in enumerate(report.sums)}
+    return {inst.composite.names[v]: s for v, s in enumerate(report.sums)}
 
 
 def ranked(run, block):

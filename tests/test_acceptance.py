@@ -23,23 +23,7 @@ from antimagic import (
     vertex_sums,
 )
 
-from .conftest import named_sums, plain_enumeration, ranked
-
-
-def K(n):
-    return preset_graph("complete", [n])
-
-
-def C(n):
-    return preset_graph("cycle", [n])
-
-
-def P(n):
-    return preset_graph("path", [n])
-
-
-def D():
-    return preset_graph("diamond")
+from .conftest import C, K, P, diamond, named_sums, plain_enumeration, ranked
 
 
 @contextmanager
@@ -58,7 +42,7 @@ def _block_totals(inst, sums):
 
 def test_criterion_1_pan_fixture():
     with criterion(1, "pan fixture r=5 exact sums, block totals, chain"):
-        inst = build_type1(5, [K(2), C(3), C(3), C(4), D(), K(4)])
+        inst = build_type1(5, [K(2), C(3), C(3), C(4), diamond(), K(4)])
         run = run_type1(inst)
         assert sorted(run.labeling.labels) == list(range(1, 69))
         report = vertex_sums(inst.composite, run.labeling)
@@ -319,8 +303,8 @@ def test_criterion_7_size_identities():
 # of its family holds (verified by the exact failed_ids match below).
 VIOLATION_CATALOG = [
     (("pan", 3, lambda: [K(2), K(2), K(2), K(2)]), "T41-h0h1"),
-    (("pan", 3, lambda: [K(2), D(), C(4), C(4)]), "T41-chain-1"),
-    (("pan", 3, lambda: [K(2), C(3), D(), C(4)]), "T41-chain-2"),
+    (("pan", 3, lambda: [K(2), diamond(), C(4), C(4)]), "T41-chain-1"),
+    (("pan", 3, lambda: [K(2), C(3), diamond(), C(4)]), "T41-chain-2"),
     (("pan", 3, lambda: [P(4), K(4), K(4), K(4)]), "T41-star-0"),
     (("pan", 3, lambda: [K(2), C(3), C(3), K(8)]), "T41-cap"),
     (("pan", 3, lambda: [K(2), C(6), K(4), K(4)]), "T41-size-1"),
@@ -328,8 +312,8 @@ VIOLATION_CATALOG = [
     (("spider", 2, lambda: [P(5), C(5), K(5), K(5), K(5), K(5)]), "T42-deg-x2"),
     (("spider", 2, lambda: [K(2), P(5), C(5), K(5), K(5), K(5)]), "T42-deg-y2"),
     (("spider", 2, lambda: [K(2), K(2), P(5), C(5), C(5), C(5)]), "T42-deg-z2"),
-    (("spider", 2, lambda: [K(2), K(2), C(3), D(), C(4), C(4)]), "T42-chain-4"),
-    (("spider", 2, lambda: [K(2), K(2), C(3), C(4), D(), C(4)]), "T42-chain-5"),
+    (("spider", 2, lambda: [K(2), K(2), C(3), diamond(), C(4), C(4)]), "T42-chain-4"),
+    (("spider", 2, lambda: [K(2), K(2), C(3), C(4), diamond(), C(4)]), "T42-chain-5"),
     (("spider", 2, lambda: [K(2), K(2), C(3), C(6), K(4), K(4)]), "T42-size-4"),
     (("spider", 3, lambda: [K(2), K(2), K(2), C(3), C(3), K(4), K(7), K(7), K(7)]), "T43-iii"),
     (("spider", 3, lambda: [K(2), K(2), K(2), C(4), C(4), C(4), K(6), K(6), K(6)]), "T43-iv"),
@@ -347,7 +331,7 @@ VIOLATION_CATALOG = [
 def test_criterion_8_condition_checker():
     with criterion(8, "fixtures pass, 20 violations each hit their condition"):
         fixtures = (
-            build_type1(5, [K(2), C(3), C(3), C(4), D(), K(4)]),
+            build_type1(5, [K(2), C(3), C(3), C(4), diamond(), K(4)]),
             build_type2(2, [K(2), C(3), C(3), K(4), K(4), K(4)]),
             build_type2(4, [K(2)] * 9 + [K(5)] * 3),
         )

@@ -590,6 +590,28 @@ def test_vertex_count_past_memory_is_input_error(tmp_path):
     assert done.stderr == "error: input too large: out of memory\n"
 
 
+@pytest.mark.parametrize("kind, base_edges", [("pan", 10**12 + 1), ("spider", 3 * 10**12)])
+def test_attachment_count_checked_before_base_is_built(tmp_path, kind, base_edges):
+    # Run only under a 256 MiB address-space limit: building a base with
+    # param 10**12 before counting the attachments would take all memory.
+    resource = pytest.importorskip("resource")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"base": {"type": kind, "param": 10**12}, "attachments": []}))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    for command in ("build", "conditions", "label"):
+        done = subprocess.run(
+            [sys.executable, "-m", "antimagic.cli", command, str(spec)],
+            capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit_memory,
+        )
+        assert done.returncode == 65, command
+        assert done.stdout == ""
+        assert done.stderr == f"error: expected {base_edges} attachments, got 0\n"
+
+
 @pytest.fixture
 def restore_collector():
     """Put the cyclic collector back as it was after a test that switches it."""

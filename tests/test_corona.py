@@ -14,12 +14,13 @@ from antimagic import (
     normalize_attachments,
 )
 from antimagic.corona import (
+    _KINDS,
     AttachmentTooSmall,
     BadBaseParam,
     DisconnectedAttachment,
     WrongAttachmentCount,
 )
-from antimagic.graphs import make_graph
+from antimagic.graphs import _PRESETS, make_graph, preset_graph
 
 from .conftest import C, K, P, diamond
 
@@ -38,6 +39,15 @@ def test_type1_pan_r5_sizes(pan_r5):
 def test_type1_wrong_attachment_count():
     with pytest.raises(WrongAttachmentCount):
         build_type1(3, [K(2)] * 3)
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_base_edge_count_closed_form(kind):
+    # _build checks the attachment count against this before building the base.
+    _, base_edge_count = _KINDS[kind]
+    least = _PRESETS[kind][1]
+    for param in range(least, least + 200):
+        assert base_edge_count(param) == preset_graph(kind, [param]).edge_count, param
 
 
 def test_type2_sizes(spider_p2, spider_p4):
@@ -126,11 +136,11 @@ def test_base_vertex_composite_degrees(pan_r5, spider_p4):
 
 
 def test_composite_names(pan_r5, spider_p2):
-    assert pan_r5.composite.name_of(0) == "u0"
-    assert pan_r5.composite.name_of(5) == "u5"
-    assert pan_r5.composite.name_of(6) == "v0_1"
-    assert spider_p2.composite.name_of(0) == "v0"
-    assert spider_p2.composite.name_of(2) == "x2"
+    assert pan_r5.composite.names[0] == "u0"
+    assert pan_r5.composite.names[5] == "u5"
+    assert pan_r5.composite.names[6] == "v0_1"
+    assert spider_p2.composite.names[0] == "v0"
+    assert spider_p2.composite.names[2] == "x2"
 
 
 def test_mixed_attachment_shapes_size_identity():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from antimagic import (
     run_type1,
     vertex_sums,
 )
+from antimagic import io as aio
 from antimagic.labeling import ConditionsNotMet, LabelingError, WrongBaseType, _execute
 
 from .conftest import C, K, named_sums
@@ -140,6 +142,18 @@ def test_pan_r5_chain_holds(pan_r5):
     names = [c.name for c in run.chain]
     assert names[0] == "w(u0)<w(a0_1)"
     assert names[-1] == "w(u4)<w(u5)"
+
+
+def test_violating_forced_run_breaks_one_tied_link():
+    # violating.json fails T41; forced, its chain breaks at one link whose
+    # two sums are equal, which only a strict inequality rejects.
+    spec = json.loads((Path(__file__).parent / "fixtures" / "violating.json").read_text())
+    inst, _ = aio.instance_from_json(spec)
+    run = run_type1(inst, force=True)
+    assert not run.chain_holds
+    broken = [link for link in run.chain if not link.holds]
+    assert [link.name for link in broken] == ["w(u1)<w(u2)"]
+    assert broken[0].left_sum == broken[0].right_sum
 
 
 def test_block_label_ranges_are_contiguous(pan_r5):
