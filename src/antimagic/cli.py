@@ -121,29 +121,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_json(path: Path) -> object:
-    text = _read_text(path)
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise aio.SpecError(f"{path}: JSON nested too deeply") from None
-    except json.JSONDecodeError:
-        raise
-    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
-        raise aio.SpecError(f"{path}: {exc}") from None
+    return aio.load_json(path.read_bytes(), path)
 
 
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise aio.SpecError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+def _read_graph(path: Path) -> Graph:
+    return aio.graph_from_json(path.read_bytes(), path)
 
 
 def _load_labeling(path: Path, g: Graph) -> Labeling:
     """Read a labeling of g from a .csv file or, otherwise, a JSON file."""
+    data = path.read_bytes()
     if path.suffix == ".csv":
-        return aio.labeling_from_csv(_read_text(path), g)
-    return aio.labeling_from_json(_read_json(path), g)
+        return aio.labeling_from_csv(aio.decode_text(data, path), g)
+    return aio.labeling_from_json(data, g, path)
 
 
 def _emit(chunks: Iterable[str], out: Path | None) -> None:
@@ -179,7 +169,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     print(f"{summary['vertices']} vertices, {summary['edges']} edges")
     _emit((aio.canonical_dumps(summary),), args.out)
     if args.graph_out is not None:
-        _emit((aio.canonical_dumps(aio.graph_to_json(inst.composite)),), args.graph_out)
+        _emit(aio.graph_chunks(inst.composite), args.graph_out)
     return EXIT_OK
 
 
@@ -218,7 +208,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    g = aio.graph_from_json(_read_json(args.graph))
+    g = _read_graph(args.graph)
     labeling = _load_labeling(args.labeling, g)
     report = vertex_sums(g, labeling)
     sys.stdout.write(aio.canonical_dumps(aio.sum_report_to_json(g, report)))
@@ -228,7 +218,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.random and args.budget <= 0:
         raise aio.SpecError(f"--budget must be positive, got {args.budget}")
-    g = aio.graph_from_json(_read_json(args.graph))
+    g = _read_graph(args.graph)
     if args.exhaustive:
         outcome = brute_force_search(g, limit=args.limit)
     else:
@@ -244,7 +234,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    g = aio.graph_from_json(_read_json(args.graph))
+    g = _read_graph(args.graph)
     labeling = None
     sums = None
     if args.labeling is not None:
@@ -267,7 +257,7 @@ def _render(
     if labeling is not None and fmt != "dot":
         return aio.labeling_chunks(fmt, g, labeling, roles, sums)
     if fmt == "json":
-        return (aio.canonical_dumps(aio.graph_to_json(g)),)
+        return aio.graph_chunks(g)
     if fmt == "csv":
         raise aio.SpecError("csv export needs --labeling")
     # Whole, not streamed: with no bound on the vertex count yet, a streamed

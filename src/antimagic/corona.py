@@ -162,26 +162,29 @@ def _build(kind: str, param: int, attachments: Sequence[Graph]) -> CoronaInstanc
 
     # "0", "1", ...: the suffixes of the block vertex names.
     ordinals = list(map(str, range(max(g.vertex_count for g in attachments) + 1)))
+    total_orders = sum(g.vertex_count for g in attachments)
+    # One int per vertex id, shared by every edge that holds it.
+    ids = list(range(base.vertex_count + total_orders))
     blocks: list[Block] = []
     next_vertex = base.vertex_count
     for k, h in enumerate(attachments):
         block_id = first_block + k
         start = next_vertex
+        block_ids = ids[start : start + h.vertex_count]
         names += map(f"v{block_id}_".__add__, ordinals[1 : h.vertex_count + 1])
         # Internal edges, then the cross fans from the lower and the upper
         # base endpoint, each contiguous; Block.cross_fan and
         # CoronaInstance.edge_roles rely on this.
         first_internal = len(edges)
-        edges += [(start + a, start + b) for a, b in h.edges]
+        edges += [(block_ids[a], block_ids[b]) for a, b in h.edges]
         lo, hi = base.edges[k]  # base vertices precede block vertices
-        edges += product((lo, hi), range(start, start + h.vertex_count))
+        edges += product((lo, hi), block_ids)
         internal = range(first_internal, first_internal + h.edge_count)
         blocks.append(Block(block_id, h, start, internal, (lo, hi)))
         next_vertex += h.vertex_count
 
     # The parts are validated graphs and every edge above is (min, max), so
     # the composite needs no second pass through make_graph.
-    total_orders = sum(g.vertex_count for g in attachments)
     total_internal = sum(g.edge_count for g in attachments)
     if len(names) != next_vertex or next_vertex != base.vertex_count + total_orders:
         raise CoronaError(f"composite has {next_vertex} vertices, expected |V(G)| + sum |V(H_i)|")

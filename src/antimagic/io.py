@@ -9,11 +9,18 @@ typed by exact type, so `bool` is never written by `%d`. Exporting and
 re-importing a graph or labeling is lossless. A labeling document's edge
 roles are the strings of `CoronaInstance.edge_roles`, written as given.
 
-`labeling_chunks` writes a labeling document, JSON or CSV, as chunks of
-text rendered straight from the graph's edges and the labels, roles and
-sums, with the same row templates and the same bytes, so that a writer
-can pass each chunk on as it comes and hold neither one dict per edge nor
-the whole document. `labeling_to_json` builds the same document as a value.
+`labeling_chunks` and `graph_chunks` write a labeling document, JSON or
+CSV, and a graph descriptor as chunks of text rendered straight from the
+graph's edges and the labels, roles and sums, with the same row templates
+and the same bytes, so that a writer can pass each chunk on as it comes and
+hold neither one object per edge nor the whole document.
+`labeling_to_json` builds the same labeling document as a value.
+
+`graph_from_json` and `labeling_from_json` also take the bytes of a file.
+A document in the layout the chunk writers use is read in pieces of about
+`_PIECE` bytes of rows, so that no JSON value per edge is held for the
+whole document; any other document, and any piece that does not read
+cleanly, is read whole, with the same result or the same error.
 
 Readers take JSON values by exact type: integers are `int` and never
 `bool`, flags are `bool`. A malformed descriptor raises `SpecError`; a
@@ -119,6 +126,70 @@ def _chunks(row: str, count: int, sep: str, *columns: Iterable[Any]) -> Iterator
         yield ((sep if full else "") + sep.join([row] * tail)) % tuple(values)
 
 
+# The layout of a document whose first key is "edges", as `canonical_dumps`
+# writes it: the chunk writers emit it and `_pieces` cuts on it.
+_EDGES_OPEN = '{\n  "edges": [\n    '
+_ROW_SEP = ",\n    "
+_EDGES_CLOSE = "\n  ]"
+_GRAPH_ROW = "[\n      %d,\n      %d\n    ]"
+_LABELING_ROW = "{\n      %s\n    }"  # filled with the fields, joined by ",\n      "
+_PIECE = 1 << 16  # bytes of row text parsed by one json.loads
+
+
+def _edge_rows(row: str, count: int, *columns: Iterable[Any]) -> Iterator[str]:
+    """The document up to the end of its "edges" list: `count` rows from
+    the template `row` and the columns, `_CHUNK` rows per chunk."""
+    if not count:
+        yield '{\n  "edges": []'
+        return
+    yield _EDGES_OPEN
+    yield from _chunks(row, count, _ROW_SEP, *columns)
+    yield _EDGES_CLOSE
+
+
+def _pieces(data: bytes, row: str) -> tuple[dict[str, Any], Iterator[list[Any]]]:
+    """Read the bytes of a document that `_edge_rows` wrote with the
+    template `row` in pieces: the document with its "edges" list empty,
+    and an iterator over the rows of that list, one parsed list per piece.
+
+    A piece is about `_PIECE` bytes of rows, cut at a row separator, a comma
+    then a newline: a JSON string holds no raw newline, and bytes of a
+    multi-byte UTF-8 character are never ASCII. Every piece must parse as
+    a non-empty JSON list once brackets close it, and the rest of the
+    document must parse with no key repeated (json.loads keeps the last of
+    two "edges"). Then json.loads of the whole text would give the same
+    value, with the rows in its "edges" list. Otherwise this raises
+    ValueError (a JSON, UTF-8 or int-digits error among them) or
+    RecursionError: the layout is not this program's, so the caller reads
+    the document whole.
+    """
+    head = _EDGES_OPEN.encode()
+    stop = data.find(_EDGES_CLOSE.encode(), len(head)) if data.startswith(head) else -1
+    if stop < 0:
+        raise SpecError("not an edge list in this program's layout")
+    doc = json.loads((head + data[stop:]).decode("utf-8"), object_pairs_hook=_unique_keys)
+    return doc, _piece_rows(data, len(head), stop, (_ROW_SEP + row[0]).encode())
+
+
+def _piece_rows(data: bytes, start: int, stop: int, sep: bytes) -> Iterator[list[Any]]:
+    while start < stop:
+        cut = data.find(sep, start + _PIECE, stop)
+        if cut < 0:
+            cut = stop
+        rows = json.loads("[" + data[start:cut].decode("utf-8") + "]")
+        if not rows:
+            raise SpecError("an empty piece of rows")
+        yield rows
+        start = cut + 1  # past the comma
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise SpecError("a key repeats")
+    return obj
+
+
 def _column(values: Sequence[Any]) -> tuple[str, Iterable[Any]] | None:
     """The conversion and rendered column when all values share one scalar
     type, else None."""
@@ -161,9 +232,16 @@ def _rows(items: Sequence[Any], level: int) -> tuple[Any, ...] | None:
     return (row + "\n" + _INDENT * level + brackets[1], *columns)
 
 
-def graph_from_json(obj: Mapping[str, Any]) -> Graph:
+def graph_from_json(obj: Mapping[str, Any] | bytes, source: object = "<bytes>") -> Graph:
     """Parse a graph descriptor: either {"kind", "params"} or
-    {"vertices", "edges"[, "names"]}."""
+    {"vertices", "edges"[, "names"]}. `obj` is the parsed value or the
+    bytes of the file `source`, read as `load_json` reads it."""
+    if isinstance(obj, bytes):
+        try:
+            return _graph_from_pieces(obj)
+        except (ValueError, RecursionError):
+            pass  # not a clean document in this program's layout
+        obj = load_json(obj, source)
     if not isinstance(obj, Mapping):
         raise SpecError("graph descriptor must be an object")
     if "kind" in obj:
@@ -179,13 +257,7 @@ def graph_from_json(obj: Mapping[str, Any]) -> Graph:
         vertices, edges = obj["vertices"], obj["edges"]
         if isinstance(vertices, bool) or not isinstance(vertices, int):
             raise SpecError(f"vertices must be an integer, got {vertices!r}")
-        if (
-            not isinstance(edges, list)
-            or not set(map(type, edges)) <= {list}
-            or not set(map(len, edges)) <= {2}
-            or not set(map(type, chain.from_iterable(edges))) <= {int}
-        ):
-            raise SpecError("edges must be a list of [u, v] integer pairs")
+        edges = _edge_pairs(edges)
         names = obj.get("names")
         if names is not None and not isinstance(names, list):
             raise SpecError("names must be a list of strings")
@@ -193,11 +265,36 @@ def graph_from_json(obj: Mapping[str, Any]) -> Graph:
     raise SpecError("graph descriptor needs either kind/params or vertices/edges")
 
 
-def graph_to_json(g: Graph) -> dict[str, Any]:
-    """The graph descriptor of g. Edges and names are g's own tuples, which
-    `canonical_dumps` writes exactly as lists."""
-    names = {} if g.names is None else {"names": g.names}
-    return {"vertices": g.vertex_count, "edges": g.edges, **names}
+def _edge_pairs(edges: Any) -> list[list[int]]:
+    if (
+        not isinstance(edges, list)
+        or not set(map(type, edges)) <= {list}
+        or not set(map(len, edges)) <= {2}
+        or not set(map(type, chain.from_iterable(edges))) <= {int}
+    ):
+        raise SpecError("edges must be a list of [u, v] integer pairs")
+    return edges
+
+
+def _graph_from_pieces(data: bytes) -> Graph:
+    """The graph in a descriptor that `graph_chunks` wrote, with its edge
+    pairs passed to `make_graph` piece by piece."""
+    doc, pieces = _pieces(data, _GRAPH_ROW)
+    if "kind" in doc:
+        raise SpecError("a preset descriptor")
+    # The whole read's checks of vertices and names, on no edges.
+    shell = graph_from_json(doc)
+    return make_graph(shell.vertex_count, chain.from_iterable(map(_edge_pairs, pieces)), shell.names)
+
+
+def graph_chunks(g: Graph) -> Iterator[str]:
+    """The graph descriptor of g, {"vertices", "edges"[, "names"]}, as
+    chunks of text of `_CHUNK` edges each, rendered from g's edge columns:
+    the bytes `canonical_dumps` writes for it, with edges as [u, v] lists."""
+    yield from _edge_rows(_GRAPH_ROW, g.edge_count, map(itemgetter(0), g.edges), map(itemgetter(1), g.edges))
+    if g.names is not None:
+        yield ',\n  "names": ' + _encode(g.names, 1)
+    yield ',\n  "vertices": %d\n}\n' % g.vertex_count
 
 
 def instance_from_json(obj: Mapping[str, Any]) -> tuple[CoronaInstance, dict[str, bool]]:
@@ -306,26 +403,45 @@ def labeling_chunks(
     if roles is not None:
         fields.insert(1, '"role": %s')
         columns.insert(1, map(encode_basestring, roles))
-    if g.edge_count:
-        yield '{\n  "edges": [\n    '
-        row = "{\n      " + ",\n      ".join(fields) + "\n    }"
-        yield from _chunks(row, g.edge_count, ",\n    ", *columns)
-        yield "\n  ]"
-    else:
-        yield '{\n  "edges": []'
+    yield from _edge_rows(_LABELING_ROW % ",\n      ".join(fields), g.edge_count, *columns)
     if sums is not None:
         yield ',\n  "sums": ' + _encode(list(sums), 1)
     yield "\n}\n"
 
 
-def labeling_from_json(obj: Mapping[str, Any], g: Graph) -> Labeling:
+def labeling_from_json(obj: Mapping[str, Any] | bytes, g: Graph, source: object = "<bytes>") -> Labeling:
     """Rebuild a labeling for g from an exported edge list, matching by
     vertex pair. Entries need exact integers (not booleans) for u, v and
     label, and an edge listed twice is rejected; bijectivity of the labels
-    is left to the verifier."""
+    is left to the verifier. `obj` is the parsed value or the bytes of the
+    file `source`, read as `load_json` reads it."""
+    if isinstance(obj, bytes):
+        try:
+            return _labeling_from_pieces(obj, g)
+        except (ValueError, RecursionError):
+            pass  # not a clean document in this program's layout
+        obj = load_json(obj, source)
     if not isinstance(obj, Mapping) or not isinstance(obj.get("edges"), list):
         raise SpecError("labeling descriptor needs an edges list")
-    entries = obj["edges"]
+    us, vs, labels = _entry_columns(obj["edges"])
+    return Labeling(tuple(_ordered_labels(g.edges, us, vs, labels)), g.edge_count)
+
+
+def _labeling_from_pieces(data: bytes, g: Graph) -> Labeling:
+    """The labeling in a document that `labeling_chunks` wrote, each piece
+    of entries matched to the edges of g at the same positions."""
+    _, pieces = _pieces(data, _LABELING_ROW)
+    labels: list[int] = []
+    for entries in pieces:
+        edges = g.edges[len(labels) : len(labels) + len(entries)]
+        labels += _ordered_labels(edges, *_entry_columns(entries))
+    if len(labels) != g.edge_count:
+        raise SpecError("labeling lists fewer edges than the graph")
+    return Labeling(tuple(labels), g.edge_count)
+
+
+def _entry_columns(entries: list[Any]) -> list[list[int]]:
+    """The u, v and label columns of labeling entries, each value an int."""
     if not set(map(type, entries)) <= {dict}:
         raise NotABijection("labeling entries must be objects with integer u, v and label")
     try:
@@ -335,19 +451,28 @@ def labeling_from_json(obj: Mapping[str, Any], g: Graph) -> Labeling:
     if not set(map(type, chain.from_iterable(columns))) <= {int}:
         bad = next(e for e in entries if {type(e["u"]), type(e["v"]), type(e["label"])} != {int})
         raise NotABijection(f"labeling entry {bad!r} needs integer u, v and label")
-    us, vs, labels = columns
+    return columns
+
+
+def _ordered_labels(edges: Sequence[tuple[int, int]], us: list[int], vs: list[int], labels: list[int]) -> list[int]:
+    """The labels of `edges`, in their order, from entries given as the
+    columns us, vs and labels: as they are when the entries list `edges` in
+    that order, else matched by vertex pair. An edge listed twice raises
+    NotABijection, a missing or an extra edge SpecError."""
+    if us == list(map(itemgetter(0), edges)) and vs == list(map(itemgetter(1), edges)):
+        return labels
     pairs = [(u, v) if u < v else (v, u) for u, v in zip(us, vs)]
     by_pair = dict(zip(pairs, labels))
     if len(by_pair) != len(pairs):
         twice = next(pair for pair, n in Counter(pairs).items() if n > 1)
         raise NotABijection(f"labeling lists edge {twice} twice")
     try:
-        ordered = tuple(map(by_pair.__getitem__, g.edges))
+        ordered = list(map(by_pair.__getitem__, edges))
     except KeyError as exc:
         raise SpecError(f"labeling is missing edge {exc.args[0]}") from None
-    if len(by_pair) != g.edge_count:
+    if len(by_pair) != len(edges):
         raise SpecError("labeling lists edges not present in the graph")
-    return Labeling(ordered, g.edge_count)
+    return ordered
 
 
 def labeling_from_csv(text: str, g: Graph) -> Labeling:
@@ -357,14 +482,40 @@ def labeling_from_csv(text: str, g: Graph) -> Labeling:
         raise SpecError(f"labeling is not readable CSV: {exc}") from None
     if rows[:1] != [["edge_u", "edge_v", "label"]]:
         raise SpecError("csv header must be edge_u,edge_v,label")
-    entries = []
+    table: list[int] = []  # u, v, label of each row in turn
     for row in filter(None, rows[1:]):
         try:
             u, v, label = map(int, row)
         except ValueError:
             raise NotABijection(f"csv row {row!r} needs integer edge_u, edge_v and label") from None
-        entries.append({"u": u, "v": v, "label": label})
-    return labeling_from_json({"edges": entries}, g)
+        table += (u, v, label)
+    return Labeling(tuple(_ordered_labels(g.edges, table[0::3], table[1::3], table[2::3])), g.edge_count)
+
+
+def decode_text(data: bytes, source: object) -> str:
+    """The bytes of the file `source` as `Path.read_text` reads them: UTF-8,
+    with universal newlines. Bytes that are not UTF-8 raise SpecError."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def load_json(data: bytes, source: object) -> Any:
+    """The JSON value in the bytes of the file `source`, read by
+    `decode_text`. Text too deeply nested to read, or an integer longer
+    than `sys.get_int_max_str_digits()`, raises SpecError; malformed JSON
+    raises `json.JSONDecodeError`."""
+    text = decode_text(data, source)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SpecError(f"{source}: JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
+        raise SpecError(f"{source}: {exc}") from None
 
 
 def to_dot(

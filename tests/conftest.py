@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import json
+import re
 
 import pytest
 
 from antimagic import build_type1, build_type2, preset_graph
+from antimagic import io as aio
 
 
 def K(n):
@@ -71,6 +74,14 @@ def spider_p4():
     return build_type2(4, [K(2)] * 9 + [K(5)] * 3)
 
 
+def graph_descriptor(g):
+    """The graph descriptor of g as a value, edges and names as g's own
+    tuples: the document the CLI writes for g is `json.dumps` of it,
+    with sorted keys and an indent of 2."""
+    names = {} if g.names is None else {"names": g.names}
+    return {"vertices": g.vertex_count, "edges": g.edges, **names}
+
+
 def named_sums(inst, report):
     return {inst.composite.names[v]: s for v, s in enumerate(report.sums)}
 
@@ -100,3 +111,76 @@ def plain_enumeration(g):
         if len(set(recomputed_sums(g, perm))) == g.vertex_count:
             return perm
     return None
+
+
+def read_whole(data, *args):
+    """A stand-in for `io._pieces` that sends every document to the whole
+    read."""
+    raise aio.SpecError("read whole")
+
+
+# Values put in place of an integer: not an int, or one of 4,301 digits.
+JUNK_VALUES = ["true", "1.0", "9" * 4301, "[[{}]]", '"1"', "null"]
+
+
+def layout_mutations(text):
+    """{name: bytes}: a document the CLI writes, whose first key is a
+    non-empty "edges" list, as written and under mutations of its rows,
+    its other keys, its whitespace and its bytes."""
+    opening, closing = '{\n  "edges": [\n    ', "\n  ]"
+    if not text.startswith(opening):
+        raise ValueError("not a document with an edge list first")
+    start, stop = len(opening), text.index(closing)
+    head, tail = text[:start], text[stop:]
+    rows = re.split(r",\n    (?=[\[{])", text[start:stop])
+
+    def doc(new_rows):
+        return head + ",\n    ".join(new_rows) + tail
+
+    out = {"as written": text}
+    for i in sorted({0, len(rows) // 2, len(rows) - 1}):
+        row = rows[i]
+        lines = row.split("\n")  # opening bracket, one line per value, closing bracket
+        ints = list(re.finditer(r"(?<= )-?\d+(?=,?$)", row, re.M))  # the integer values
+
+        def at(*new, i=i):
+            return doc(rows[:i] + list(new) + rows[i + 1 :])
+
+        def fields(new_lines):
+            return "\n".join([lines[0], *[line + "," for line in new_lines[:-1]], new_lines[-1], lines[-1]])
+
+        values = [line.rstrip(",") for line in lines[1:-1]]
+        extra = '      "x": 1' if row.startswith("{") else "      7"
+        out[f"row {i} dropped"] = at()
+        out[f"row {i} twice"] = at(row, row)
+        out[f"an empty row before row {i}"] = at(" ", row)
+        if i + 1 < len(rows):
+            out[f"rows {i} and {i + 1} swapped"] = doc(rows[:i] + [rows[i + 1], row] + rows[i + 2 :])
+        first, last = ints[-2], ints[-1]
+        out[f"row {i} reversed"] = at(
+            row[: first.start()] + last.group() + row[first.end() : last.start()] + first.group() + row[last.end() :]
+        )
+        out[f"row {i} without its last value"] = at(fields(values[:-1]))
+        out[f"row {i} with its first key again"] = at(fields([*values, re.sub(r"-?\d+$", "5", values[0])]))
+        out[f"row {i} with an extra value"] = at(fields([*values, extra]))
+        out[f"row {i} on one line"] = at(row.replace("\n      ", " "))
+        for junk in JUNK_VALUES:
+            for m in (ints[0], last):
+                out[f"row {i} with {junk[:8]} at {m.start()}"] = at(row[: m.start()] + junk + row[m.end() :])
+    end = text.rindex("\n}")
+    out['"edges" again'] = text[:end] + ',\n  "edges": []' + text[end:]
+    out["an extra key"] = text[:end] + ',\n  "zz": {"edges": [1]}' + text[end:]
+    out["a preset's keys"] = text[:end] + ',\n  "kind": "K",\n  "params": [100]' + text[end:]
+    out["the last key dropped"] = text[: text.rindex(',\n  "')] + text[end:]
+    out["minified"] = json.dumps(json.loads(text), sort_keys=True)
+    out["crlf"] = text.replace("\n", "\r\n")
+    out["bom"] = "\ufeff" + text
+    out["cut after the rows"] = text[:stop]
+    out["cut in half"] = text[: len(text) // 2]
+    out["cut at the end"] = text[:-3]
+    mutations = {name: mutated.encode("utf-8") for name, mutated in out.items()}
+    data = mutations["as written"]
+    for name, pos in (("in a row", data.index(b"\n", start + 1)), ("in the tail", data.rindex(b"\n", 0, len(data) - 1))):
+        mutations[f"not UTF-8 {name}"] = data[:pos] + b"\xff" + data[pos:]
+        mutations[f"a surrogate {name}"] = data[:pos] + b"\xed\xa0\x80" + data[pos:]
+    return mutations

@@ -16,6 +16,8 @@ from antimagic import cli, run_type2, vertex_sums
 from antimagic import io as aio
 from antimagic.cli import main
 
+from .conftest import layout_mutations, read_whole
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -779,3 +781,41 @@ def test_label_out_holds_no_copy_of_the_document(capsys, tmp_path):
         tracemalloc.stop()
     assert edges == 22_197
     assert peak < live + document, (peak, live, document)
+
+
+@pytest.mark.parametrize("fixture", ["pan_r5.json", "spider_p2.json", "spider_p4.json", "violating.json"])
+def test_piecewise_reads_keep_every_exit_and_error(capsys, tmp_path, monkeypatch, fixture):
+    """`verify` and `export` on the files `build`, `label` and `export`
+    write, and on mutations of them, end as they do when every document is
+    read whole: the same exit code, output and one-line error. Pieces are
+    1 byte, so every row boundary is a cut."""
+    spec, stem = FIXTURES / fixture, tmp_path / "run"
+    graph, labeled = tmp_path / "graph.json", tmp_path / "labeled.json"
+    assert run_cli(capsys, "build", str(spec), "--graph-out", str(graph))[0] == 0
+    assert run_cli(capsys, "label", str(spec), "--force", "--out", str(stem))[0] in (0, 2)
+    labeling = Path(f"{stem}.labeling.json")
+    code, exported, _ = run_cli(capsys, "export", str(graph), "--format", "json", "--labeling", str(labeling))
+    assert code == 0
+    labeled.write_text(exported, encoding="utf-8")
+    code, exported, _ = run_cli(capsys, "export", str(graph), "--format", "json")
+    assert (code, exported) == (0, graph.read_text(encoding="utf-8"))
+
+    monkeypatch.setattr(aio, "_PIECE", 1)
+    originals = {path: path.read_bytes() for path in (graph, labeling, labeled)}
+    runs = 0
+    for path, original in originals.items():
+        for mutation, data in layout_mutations(original.decode()).items():
+            path.write_bytes(data)
+            if path == graph:
+                commands = [("verify", graph, labeling), ("export", graph, "--format", "json")]
+            else:
+                commands = [("verify", graph, path), ("export", graph, "--format", "dot", "--labeling", path)]
+            for argv in commands:
+                piecewise = run_cli(capsys, *map(str, argv))
+                with monkeypatch.context() as whole:
+                    whole.setattr(aio, "_pieces", read_whole)
+                    assert run_cli(capsys, *map(str, argv)) == piecewise, (path.name, mutation, argv)
+                assert piecewise[2].count("\n") <= 1
+                runs += 1
+        path.write_bytes(original)
+    assert runs > 300

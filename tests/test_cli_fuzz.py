@@ -12,6 +12,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 from antimagic import io as aio
 from antimagic import vertex_sums
 from antimagic.cli import main
+
+from .conftest import read_whole
 
 EXIT_CODES = {0, 1, 2, 3, 4, 65}
 LONE_SURROGATES = ["\ud800", "a\udfffb"]
@@ -70,6 +73,18 @@ def explicit_graphs(draw):
 
 
 GRAPHS = PRESETS | VALID_PRESETS | explicit_graphs()
+
+
+@st.composite
+def graphs_with_edges(draw):
+    """A simple graph on 2..6 vertices with at least one edge, sometimes
+    with names."""
+    n = draw(st.integers(2, 6))
+    pairs = [[u, v] for u in range(n) for v in range(u + 1, n)]
+    graph = {"vertices": n, "edges": draw(st.lists(st.sampled_from(pairs), unique_by=tuple, min_size=1, max_size=8))}
+    if draw(st.booleans()):
+        graph["names"] = [f"v{i}" for i in range(n)]
+    return graph
 
 
 @st.composite
@@ -141,17 +156,44 @@ DEEP_TEMPLATES = [
     '{"edges": [{"u": DEEP, "v": 1, "label": 1}]}',
     '{"edges": [{"u": 0, "v": 1, "label": 1}, DEEP]}',
 ]
+PIECES = st.sampled_from([1, 40, aio._PIECE])  # bytes of rows per piece read
 DEEP = st.builds(lambda d, t: t.replace("DEEP", "[" * d + "]" * d).encode(), DEPTHS, st.sampled_from(DEEP_TEMPLATES))
+
+
+def _laid_out(doc):
+    """doc as UTF-8 in the layout this program writes its documents in."""
+    return (_dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8", "surrogatepass")
+
+
+# Bytes that separate, open or close JSON values, digits, and a byte no
+# UTF-8 text holds.
+EDIT_BYTES = [bytes([byte]) for byte in b',\n []{}"09\xff']
+
+
+@st.composite
+def one_byte_changed(draw, data):
+    """data with one byte replaced, deleted or inserted."""
+    at = draw(st.integers(0, len(data)))
+    if draw(st.booleans()):  # integers are drawn toward 0: count from either end
+        at = len(data) - at
+    how = draw(st.sampled_from(["replace", "delete", "insert"]) if at < len(data) else st.just("insert"))
+    byte = b"" if how == "delete" else draw(st.sampled_from(EDIT_BYTES))
+    return data[:at] + byte + data[at + (how != "insert") :]
 
 
 def contents(docs):
     """File bytes: a JSON document as UTF-8, in another encoding, raw bytes,
-    or a document holding a deeply nested value."""
+    a document holding a deeply nested value, or a document in the layout
+    this program writes (sorted keys, an indent of 2), as it is or with one
+    byte changed, which the piecewise readers take."""
     encoded = st.tuples(docs, st.sampled_from(["utf-16", "utf-8-sig", "latin-1"])).map(
         lambda pair: _dumps(pair[0], ensure_ascii=False).encode(pair[1], "replace")
     )
     plain = docs.map(lambda doc: _dumps(doc).encode())
-    return st.integers(0, 2).flatmap(lambda i: plain if i else encoded | st.binary(max_size=24) | DEEP)
+    laid_out = docs.map(_laid_out).flatmap(lambda data: st.just(data) | one_byte_changed(data))
+    return st.integers(0, 3).flatmap(
+        lambda i: [encoded | st.binary(max_size=24) | DEEP, plain, laid_out, laid_out][i]
+    )
 
 
 def _validates(graph_bytes, labeling_path):
@@ -168,7 +210,29 @@ def _validates(graph_bytes, labeling_path):
         return False
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+SETTINGS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large]
+)
+
+
+def _run(argv):
+    """Exit code, standard output and standard error of `antimagic <argv>`,
+    with output through a strict UTF-8 stream."""
+    err = io.StringIO()
+    with io.TextIOWrapper(io.BytesIO(), encoding="utf-8") as out:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out.seek(0)
+        return code, out.read(), err.getvalue()
+
+
+def _within_contract(argv, code, stderr):
+    assert code in EXIT_CODES, (argv, code, stderr)
+    assert "Traceback" not in stderr
+    assert stderr.count("\n") <= 1, stderr
+
+
+@SETTINGS
 @given(st.data())
 def test_cli_input_boundary(data):
     command = data.draw(st.sampled_from(["label", "build", "conditions", "verify", "export"]))
@@ -202,14 +266,35 @@ def test_cli_input_boundary(data):
                     argv += ["--labeling", str(labeling)]
                 if data.draw(st.booleans()):
                     argv += ["--out", str(root / "out")]
-        err = io.StringIO()
-        with io.TextIOWrapper(io.BytesIO(), encoding="utf-8") as out:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
+        with mock.patch.object(aio, "_PIECE", data.draw(PIECES)):
+            code, _, stderr = _run(argv)
         if code == 1:
             assert command == "verify" and _validates(graph_bytes, labeling), argv
         assert code == 0 or not (root / "out").exists(), argv
-    stderr = err.getvalue()
-    assert code in EXIT_CODES, (argv, code, stderr)
-    assert "Traceback" not in stderr
-    assert stderr.count("\n") <= 1, stderr
+    _within_contract(argv, code, stderr)
+
+
+@SETTINGS
+@given(st.data())
+def test_cli_reads_its_own_layout_as_a_whole_read_does(data):
+    """A graph with edges and its labeling, written in this program's
+    layout, one of the two with one byte changed: `verify` and `export` end
+    as they do when every document is read whole."""
+    graph_doc = data.draw(graphs_with_edges())
+    files = {"graph.json": _laid_out(graph_doc), "labeling.json": _laid_out(data.draw(labelings(graph_doc)))}
+    changed = data.draw(st.sampled_from(sorted(files)))
+    files[changed] = data.draw(one_byte_changed(files[changed]))
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, labeling = Path(tmp) / "graph.json", Path(tmp) / "labeling.json"
+        for path in (graph, labeling):
+            path.write_bytes(files[path.name])
+        argv = data.draw(st.sampled_from([
+            ["verify", str(graph), str(labeling)],
+            ["export", str(graph), "--format", "json"],
+            ["export", str(graph), "--format", "dot", "--labeling", str(labeling)],
+        ]))
+        with mock.patch.object(aio, "_PIECE", data.draw(PIECES)):
+            piecewise = _run(argv)
+            with mock.patch.object(aio, "_pieces", read_whole):
+                assert _run(argv) == piecewise, argv
+    _within_contract(argv, piecewise[0], piecewise[2])

@@ -7,23 +7,28 @@ import io
 import json
 from collections import OrderedDict
 from enum import IntEnum
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antimagic import build_type1, build_type2, io as aio
-from antimagic import Labeling, preset_graph, run_type2, vertex_sums
+from antimagic import Labeling, make_graph, preset_graph, run_type1, run_type2, vertex_sums
 from antimagic.corona import AttachmentTooSmall, DisconnectedAttachment
 from antimagic.graphs import BadParams
+from antimagic.verify import NotABijection
+
+from .conftest import graph_descriptor, layout_mutations
 
 
 def test_graph_json_round_trip_is_byte_identical():
     g = preset_graph("pan", [5])
-    text = aio.canonical_dumps(aio.graph_to_json(g))
+    text = "".join(aio.graph_chunks(g))
+    assert text == reference_dumps(graph_descriptor(g))
     back = aio.graph_from_json(json.loads(text))
     assert back == g
-    assert aio.canonical_dumps(aio.graph_to_json(back)) == text
+    assert "".join(aio.graph_chunks(back)) == text
 
 
 def test_preset_descriptor_aliases():
@@ -433,7 +438,7 @@ def test_canonical_dumps_matches_json_on_cli_documents():
     for doc in (
         aio.labeling_to_json(inst.composite, run.labeling, inst.edge_roles, report.sums),
         aio.sum_report_to_json(inst.composite, report),
-        aio.graph_to_json(inst.composite),
+        graph_descriptor(inst.composite),
     ):
         assert aio.canonical_dumps(doc) == reference_dumps(doc)
 
@@ -492,3 +497,101 @@ def test_canonical_dumps_reports_a_circular_reference_like_json():
     loop.append({"self": loop})
     with pytest.raises(ValueError, match="Circular reference"):
         aio.canonical_dumps(loop)
+
+
+@pytest.mark.parametrize("count", [0, 1, K - 1, K, K + 1, 2 * K + 3])
+@pytest.mark.parametrize("named", [False, True])
+def test_graph_chunks_match_the_whole_document(count, named):
+    """The chunks of a graph descriptor join to what `json.dumps` writes for
+    it, one chunk per `_CHUNK` edges."""
+    words = [word for word in WORDS if word != "\ud800"]  # names are UTF-8 text
+    names = [words[i % len(words)] + str(i) for i in range(count + 1)] if named else None
+    g = make_graph(count + 1, [(i, i + 1) for i in range(count)], names)
+    chunks = list(aio.graph_chunks(g))
+    assert "".join(chunks) == reference_dumps(graph_descriptor(g))
+    assert max(chunk.count("\n    ]") for chunk in chunks) == min(count, K)  # edge rows
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _written_documents(fixture):
+    """The composite of a fixture and the documents the CLI writes for it:
+    its graph descriptor, and its labeling with roles and sums (`label`)
+    and with sums only (`export --labeling`)."""
+    inst, _ = aio.instance_from_json(json.loads((FIXTURES / fixture).read_text(encoding="utf-8")))
+    run = run_type1 if inst.kind == "pan" else run_type2
+    labeling = run(inst, force=True).labeling
+    g = inst.composite
+    sums = vertex_sums(g, labeling).sums
+    return g, labeling, {
+        "graph": "".join(aio.graph_chunks(g)),
+        "label": "".join(aio.labeling_chunks("json", g, labeling, inst.edge_roles, sums)),
+        "export": "".join(aio.labeling_chunks("json", g, labeling, None, sums)),
+    }
+
+
+def _outcome(read):
+    try:
+        return read()
+    except Exception as exc:  # the CLI reports the type and the message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("piece", [1, 300, aio._PIECE], ids=["each-row", "few-rows", "default"])
+@pytest.mark.parametrize("fixture", ["pan_r5.json", "spider_p2.json", "spider_p4.json", "violating.json"])
+def test_piecewise_reads_match_whole_reads(fixture, piece, monkeypatch):
+    """Read from the bytes of a file, a graph or labeling document gives
+    what `json.loads` and the reader of the whole value give: an equal
+    Graph or Labeling, or the same error. With a piece of 1 byte, every row
+    boundary is a cut."""
+    g, labeling, documents = _written_documents(fixture)
+    monkeypatch.setattr(aio, "_PIECE", piece)
+    graph_data = documents["graph"].encode()
+    assert aio._graph_from_pieces(graph_data) == g
+    for name in ("label", "export"):
+        assert aio._labeling_from_pieces(documents[name].encode(), g) == labeling
+    compared = 0
+    for name, text in documents.items():
+        for mutation, data in layout_mutations(text).items():
+            if name == "graph":
+                got = _outcome(lambda: aio.graph_from_json(data, "g.json"))
+                want = _outcome(lambda: aio.graph_from_json(aio.load_json(data, "g.json")))
+            else:
+                got = _outcome(lambda: aio.labeling_from_json(data, g, "l.json"))
+                want = _outcome(lambda: aio.labeling_from_json(aio.load_json(data, "l.json"), g))
+            assert got == want, (name, mutation)
+            compared += 1
+    assert compared > 100
+
+
+def test_piecewise_read_of_a_document_with_no_edges():
+    g = make_graph(3, [])
+    text = "".join(aio.graph_chunks(g))
+    assert aio.graph_from_json(text.encode()) == g
+    labeling = Labeling((), 0)
+    assert aio.labeling_from_json("".join(aio.labeling_chunks("json", g, labeling)).encode(), g) == labeling
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1, 1], [1, 2, 2]],
+        [[1, 2, 2], [1, 0, 1]],
+        [[0, 2, 1], [1, 2, 2]],
+        [[0, 1, 1], [1, 0, 2], [1, 2, 3]],
+        [[0, 1, 1], [1, 2, 2], [2, 3, 3]],
+        [[0, 1, 1]],
+        [],
+    ],
+    ids=["in-order", "reordered", "missing", "twice", "extra", "short", "empty"],
+)
+def test_csv_labelings_read_as_json_entries_do(rows):
+    """A CSV labeling of integers reads as the JSON entries of its rows:
+    the same Labeling, or the same error."""
+    g = preset_graph("path", [3])
+    text = _csv_text([["edge_u", "edge_v", "label"], *rows])
+    entries = [{"u": u, "v": v, "label": label} for u, v, label in rows]
+    assert _outcome(lambda: aio.labeling_from_csv(text, g)) == _outcome(
+        lambda: aio.labeling_from_json({"edges": entries}, g)
+    )

@@ -1,0 +1,23 @@
+"""Smoke tests of the scripts in tools/."""
+
+from __future__ import annotations
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def test_peak_rss_runs_each_command_in_a_fresh_process():
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "peak_rss.py"), "--center", "5"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["build", "label", "verify"]
+    for line in lines:
+        match = re.fullmatch(r"\w+ +exit 0 +peak +([\d.]+) MB +wall +([\d.]+) s", line)
+        assert match, line
+        assert float(match.group(1)) > 1
