@@ -125,15 +125,16 @@ def _read_json(path: Path) -> object:
 
 
 def _read_graph(path: Path) -> Graph:
-    return aio.graph_from_json(path.read_bytes(), path)
+    with path.open("rb") as file:
+        return aio.graph_from_json(file, path)
 
 
 def _load_labeling(path: Path, g: Graph) -> Labeling:
     """Read a labeling of g from a .csv file or, otherwise, a JSON file."""
-    data = path.read_bytes()
-    if path.suffix == ".csv":
-        return aio.labeling_from_csv(aio.decode_text(data, path), g)
-    return aio.labeling_from_json(data, g, path)
+    with path.open("rb") as file:
+        if path.suffix == ".csv":
+            return aio.labeling_from_csv(aio.decode_text(file.read(), path), g)
+        return aio.labeling_from_json(file, g, path)
 
 
 def _emit(chunks: Iterable[str], out: Path | None) -> None:

@@ -91,18 +91,22 @@ def make_graph(
     """Validate and canonicalize an edge list into a Graph.
 
     Each pair is stored as (min, max); the sequence order is the input order.
+    Equal endpoints are stored as one int object, shared through a dict of
+    the ids seen so far, which holds at most two entries per edge.
     Names, when given, are distinct strings, one per vertex.
     """
     if vertex_count < 0:
         raise BadParams(f"vertex_count must be non-negative, got {vertex_count}")
     canonical: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
+    ids: dict[int, int] = {}
     for pair in edges:
         u, v = pair
         if u == v:
             raise LoopEdge(f"loop at vertex {u}")
         if not (0 <= u < vertex_count) or not (0 <= v < vertex_count):
             raise IndexOutOfRange(f"edge ({u}, {v}) outside 0..{vertex_count - 1}")
+        u, v = ids.setdefault(u, u), ids.setdefault(v, v)
         e = (u, v) if u < v else (v, u)
         if e in seen:
             raise DuplicateEdge(f"edge {e} repeated")

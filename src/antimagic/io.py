@@ -16,11 +16,13 @@ and the same bytes, so that a writer can pass each chunk on as it comes and
 hold neither one object per edge nor the whole document.
 `labeling_to_json` builds the same labeling document as a value.
 
-`graph_from_json` and `labeling_from_json` also take the bytes of a file.
-A document in the layout the chunk writers use is read in pieces of about
-`_PIECE` bytes of rows, so that no JSON value per edge is held for the
+`graph_from_json` and `labeling_from_json` also take the bytes or the open
+binary file of a document. A document in the layout the chunk writers use
+is read from the file in pieces of about `_PIECE` bytes of rows, so that
+neither the document's bytes nor a JSON value per edge is held for the
 whole document; any other document, and any piece that does not read
-cleanly, is read whole, with the same result or the same error.
+cleanly, is read whole from the file's start, with the same result or the
+same error. `labeling_from_csv` reads its rows one at a time.
 
 Readers take JSON values by exact type: integers are `int` and never
 `bool`, flags are `bool`. A malformed descriptor raises `SpecError`; a
@@ -32,11 +34,12 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import re
 from collections import Counter
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .corona import CoronaInstance, build_type1, build_type2, normalize_attachments
 from .graphs import Graph, Labeling, make_graph, preset_graph
@@ -134,6 +137,7 @@ _EDGES_CLOSE = "\n  ]"
 _GRAPH_ROW = "[\n      %d,\n      %d\n    ]"
 _LABELING_ROW = "{\n      %s\n    }"  # filled with the fields, joined by ",\n      "
 _PIECE = 1 << 16  # bytes of row text parsed by one json.loads
+_BLOCK = 1 << 16  # bytes taken from a file by one read
 
 
 def _edge_rows(row: str, count: int, *columns: Iterable[Any]) -> Iterator[str]:
@@ -147,40 +151,71 @@ def _edge_rows(row: str, count: int, *columns: Iterable[Any]) -> Iterator[str]:
     yield _EDGES_CLOSE
 
 
-def _pieces(data: bytes, row: str) -> tuple[dict[str, Any], Iterator[list[Any]]]:
-    """Read the bytes of a document that `_edge_rows` wrote with the
-    template `row` in pieces: the document with its "edges" list empty,
-    and an iterator over the rows of that list, one parsed list per piece.
+def _pieces(file: BinaryIO, row: str) -> tuple[dict[str, Any], Iterator[list[Any]]]:
+    """Read a document that `_edge_rows` wrote with the template `row` in
+    pieces, from the start of the seekable binary file `file`: the document
+    with its "edges" list empty, and an iterator over the rows of that list,
+    one parsed list per piece.
 
-    A piece is about `_PIECE` bytes of rows, cut at a row separator, a comma
-    then a newline: a JSON string holds no raw newline, and bytes of a
-    multi-byte UTF-8 character are never ASCII. Every piece must parse as
-    a non-empty JSON list once brackets close it, and the rest of the
-    document must parse with no key repeated (json.loads keeps the last of
-    two "edges"). Then json.loads of the whole text would give the same
-    value, with the rows in its "edges" list. Otherwise this raises
-    ValueError (a JSON, UTF-8 or int-digits error among them) or
-    RecursionError: the layout is not this program's, so the caller reads
-    the document whole.
+    The rest of the document, from the first `_EDGES_CLOSE` on, is read
+    first; then the rows, `_BLOCK` bytes at a time, so that no more than
+    about a piece and a block of the file's bytes are held at once. A piece
+    is about `_PIECE` bytes of rows, cut at a row separator, a comma then a
+    newline: a JSON string holds no raw newline, and bytes of a multi-byte
+    UTF-8 character are never ASCII. Every piece must parse as a non-empty JSON list once
+    brackets close it, and the rest of the document must parse with no key
+    repeated (json.loads keeps the last of two "edges"). Then json.loads of
+    the whole text would give the same value, with the rows in its "edges"
+    list. Otherwise this raises ValueError (a JSON, UTF-8 or int-digits
+    error among them) or RecursionError: the layout is not this program's,
+    so the caller reads the document whole.
     """
     head = _EDGES_OPEN.encode()
-    stop = data.find(_EDGES_CLOSE.encode(), len(head)) if data.startswith(head) else -1
+    file.seek(0)
+    stop = _find(file, _EDGES_CLOSE.encode()) if file.read(len(head)) == head else -1
     if stop < 0:
         raise SpecError("not an edge list in this program's layout")
-    doc = json.loads((head + data[stop:]).decode("utf-8"), object_pairs_hook=_unique_keys)
-    return doc, _piece_rows(data, len(head), stop, (_ROW_SEP + row[0]).encode())
+    file.seek(stop)
+    doc = json.loads((head + file.read()).decode("utf-8"), object_pairs_hook=_unique_keys)
+    file.seek(len(head))
+    return doc, _piece_rows(file, stop - len(head), (_ROW_SEP + row[0]).encode())
 
 
-def _piece_rows(data: bytes, start: int, stop: int, sep: bytes) -> Iterator[list[Any]]:
-    while start < stop:
-        cut = data.find(sep, start + _PIECE, stop)
+def _find(file: BinaryIO, sub: bytes) -> int:
+    """The offset of the first `sub` in `file` from its position on, read
+    `_BLOCK` bytes at a time; -1 when there is none."""
+    start, block = file.tell(), b""  # block starts at offset start
+    while more := file.read(_BLOCK):
+        kept = block[1 - len(sub) :]  # a match may span two reads
+        start += len(block) - len(kept)
+        block = kept + more
+        found = block.find(sub)
+        if found >= 0:
+            return start + found
+    return -1
+
+
+def _piece_rows(file: BinaryIO, size: int, sep: bytes) -> Iterator[list[Any]]:
+    """The next `size` bytes of `file`, cut into pieces at the first `sep`
+    `_PIECE` or more bytes into each, one parsed list per piece."""
+    buf, left = bytearray(), size
+    while buf or left:
+        cut = buf.find(sep, _PIECE)
+        while cut < 0 and left:
+            searched = max(_PIECE, len(buf) + 1 - len(sep))
+            more = file.read(min(_BLOCK, left))
+            if not more:
+                raise SpecError("the file ended early")
+            left -= len(more)
+            buf += more
+            cut = buf.find(sep, searched)
         if cut < 0:
-            cut = stop
-        rows = json.loads("[" + data[start:cut].decode("utf-8") + "]")
+            cut = len(buf)
+        rows = json.loads("[" + buf[:cut].decode("utf-8") + "]")
         if not rows:
             raise SpecError("an empty piece of rows")
         yield rows
-        start = cut + 1  # past the comma
+        del buf[: cut + 1]  # past the comma
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -232,16 +267,15 @@ def _rows(items: Sequence[Any], level: int) -> tuple[Any, ...] | None:
     return (row + "\n" + _INDENT * level + brackets[1], *columns)
 
 
-def graph_from_json(obj: Mapping[str, Any] | bytes, source: object = "<bytes>") -> Graph:
+def graph_from_json(obj: Mapping[str, Any] | bytes | BinaryIO, source: object = "<bytes>") -> Graph:
     """Parse a graph descriptor: either {"kind", "params"} or
-    {"vertices", "edges"[, "names"]}. `obj` is the parsed value or the
-    bytes of the file `source`, read as `load_json` reads it."""
-    if isinstance(obj, bytes):
-        try:
-            return _graph_from_pieces(obj)
-        except (ValueError, RecursionError):
-            pass  # not a clean document in this program's layout
-        obj = load_json(obj, source)
+    {"vertices", "edges"[, "names"]}. `obj` is the parsed value, or the
+    bytes or the open binary file of the file `source`, read as `load_json`
+    reads it."""
+    if isinstance(obj, (bytes, _io.IOBase)):
+        obj = _read_document(obj, source, _graph_from_pieces)
+        if isinstance(obj, Graph):
+            return obj
     if not isinstance(obj, Mapping):
         raise SpecError("graph descriptor must be an object")
     if "kind" in obj:
@@ -276,10 +310,28 @@ def _edge_pairs(edges: Any) -> list[list[int]]:
     return edges
 
 
-def _graph_from_pieces(data: bytes) -> Graph:
+def _read_document(obj: bytes | BinaryIO, source: object, read: Callable[[BinaryIO], Any]) -> Any:
+    """What `read` takes in pieces from the document in `obj`, bytes or an
+    open binary file; or, when that raises ValueError or RecursionError,
+    the JSON value of the whole document, read from its start by
+    `load_json`. A file that cannot seek, such as a pipe, is read into
+    memory first."""
+    if isinstance(obj, bytes):
+        obj = _io.BytesIO(obj)
+    elif not obj.seekable():
+        obj = _io.BytesIO(obj.read())
+    try:
+        return read(obj)
+    except (ValueError, RecursionError):
+        pass  # not a clean document in this program's layout
+    obj.seek(0)
+    return load_json(obj.read(), source)
+
+
+def _graph_from_pieces(file: BinaryIO) -> Graph:
     """The graph in a descriptor that `graph_chunks` wrote, with its edge
     pairs passed to `make_graph` piece by piece."""
-    doc, pieces = _pieces(data, _GRAPH_ROW)
+    doc, pieces = _pieces(file, _GRAPH_ROW)
     if "kind" in doc:
         raise SpecError("a preset descriptor")
     # The whole read's checks of vertices and names, on no edges.
@@ -409,28 +461,26 @@ def labeling_chunks(
     yield "\n}\n"
 
 
-def labeling_from_json(obj: Mapping[str, Any] | bytes, g: Graph, source: object = "<bytes>") -> Labeling:
+def labeling_from_json(obj: Mapping[str, Any] | bytes | BinaryIO, g: Graph, source: object = "<bytes>") -> Labeling:
     """Rebuild a labeling for g from an exported edge list, matching by
     vertex pair. Entries need exact integers (not booleans) for u, v and
     label, and an edge listed twice is rejected; bijectivity of the labels
-    is left to the verifier. `obj` is the parsed value or the bytes of the
-    file `source`, read as `load_json` reads it."""
-    if isinstance(obj, bytes):
-        try:
-            return _labeling_from_pieces(obj, g)
-        except (ValueError, RecursionError):
-            pass  # not a clean document in this program's layout
-        obj = load_json(obj, source)
+    is left to the verifier. `obj` is the parsed value, or the bytes or the
+    open binary file of the file `source`, read as `load_json` reads it."""
+    if isinstance(obj, (bytes, _io.IOBase)):
+        obj = _read_document(obj, source, lambda file: _labeling_from_pieces(file, g))
+        if isinstance(obj, Labeling):
+            return obj
     if not isinstance(obj, Mapping) or not isinstance(obj.get("edges"), list):
         raise SpecError("labeling descriptor needs an edges list")
     us, vs, labels = _entry_columns(obj["edges"])
     return Labeling(tuple(_ordered_labels(g.edges, us, vs, labels)), g.edge_count)
 
 
-def _labeling_from_pieces(data: bytes, g: Graph) -> Labeling:
+def _labeling_from_pieces(file: BinaryIO, g: Graph) -> Labeling:
     """The labeling in a document that `labeling_chunks` wrote, each piece
     of entries matched to the edges of g at the same positions."""
-    _, pieces = _pieces(data, _LABELING_ROW)
+    _, pieces = _pieces(file, _LABELING_ROW)
     labels: list[int] = []
     for entries in pieces:
         edges = g.edges[len(labels) : len(labels) + len(entries)]
@@ -476,20 +526,46 @@ def _ordered_labels(edges: Sequence[tuple[int, int]], us: list[int], vs: list[in
 
 
 def labeling_from_csv(text: str, g: Graph) -> Labeling:
+    """Rebuild a labeling for g from CSV rows edge_u,edge_v,label under that
+    header, blank rows skipped, matched to g's edges as `labeling_from_json`
+    matches its entries. A csv.Error in any row, then a wrong header, raise
+    SpecError; then the first row that is not three integers raises
+    NotABijection.
+
+    Rows are read one at a time into int columns: the labels, and the u and
+    v columns from the first row that is not g's edge at its position on,
+    so a document in g's edge order holds no int per endpoint."""
+    edges, labels, us, vs = g.edges, [], [], []
+    header = bad = None
+    in_order = 0  # leading rows that are g's edges in order
     try:
-        rows = list(csv.reader(_io.StringIO(text)))
+        # The lines StringIO(text) gives, without its copy of the text at 4 bytes a character.
+        for row in csv.reader(map(itemgetter(0), re.finditer(".*\n|.+", text))):
+            if header is None:
+                header = row
+            elif row and bad is None:
+                try:
+                    u, v, label = map(int, row)
+                except ValueError:
+                    bad = row
+                    continue
+                if in_order == len(labels) < len(edges) and edges[in_order] == (u, v):
+                    in_order += 1
+                else:
+                    us.append(u)
+                    vs.append(v)
+                labels.append(label)
     except csv.Error as exc:  # such as a field over csv.field_size_limit()
         raise SpecError(f"labeling is not readable CSV: {exc}") from None
-    if rows[:1] != [["edge_u", "edge_v", "label"]]:
+    if header != ["edge_u", "edge_v", "label"]:
         raise SpecError("csv header must be edge_u,edge_v,label")
-    table: list[int] = []  # u, v, label of each row in turn
-    for row in filter(None, rows[1:]):
-        try:
-            u, v, label = map(int, row)
-        except ValueError:
-            raise NotABijection(f"csv row {row!r} needs integer edge_u, edge_v and label") from None
-        table += (u, v, label)
-    return Labeling(tuple(_ordered_labels(g.edges, table[0::3], table[1::3], table[2::3])), g.edge_count)
+    if bad is not None:
+        raise NotABijection(f"csv row {bad!r} needs integer edge_u, edge_v and label")
+    if us or in_order < len(edges):
+        us[:0] = map(itemgetter(0), edges[:in_order])
+        vs[:0] = map(itemgetter(1), edges[:in_order])
+        labels = _ordered_labels(edges, us, vs, labels)
+    return Labeling(tuple(labels), g.edge_count)
 
 
 def decode_text(data: bytes, source: object) -> str:

@@ -17,6 +17,9 @@ from typing import Iterable, Sequence
 from .graphs import Graph, Labeling, degree_profile
 
 
+_RUN = 4096  # sorted labels compared with 1..|E| at once
+
+
 class NotABijection(ValueError):
     """Labels are not a permutation of 1..|E|."""
 
@@ -61,8 +64,11 @@ def vertex_sums(
         raise NotABijection(
             f"expected {g.edge_count} labels, got {len(labels)}"
         )
-    if sorted(labels) != list(range(1, g.edge_count + 1)):
-        raise NotABijection("labels are not a permutation of 1..|E|")
+    ordered = sorted(labels)
+    # Compared with 1..|E| in runs, so that no list of |E| new ints is made.
+    for start in range(0, g.edge_count, _RUN):
+        if ordered[start : start + _RUN] != list(range(start + 1, min(start + _RUN, g.edge_count) + 1)):
+            raise NotABijection("labels are not a permutation of 1..|E|")
     sums = _sums(g, labels)
     groups: tuple[tuple[int, ...], ...] = ()
     if len(set(sums)) != len(sums):

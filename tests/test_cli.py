@@ -783,6 +783,85 @@ def test_label_out_holds_no_copy_of_the_document(capsys, tmp_path):
     assert peak < live + document, (peak, live, document)
 
 
+def test_export_of_a_huge_vertex_count_allocates_nothing_by_it(tmp_path):
+    # Run only under a 256 MiB address-space limit: a graph read that
+    # allocated by the vertex count would take all memory.
+    resource = pytest.importorskip("resource")
+    descriptor = {"vertices": 10**20, "edges": [[0, 1]]}
+    graph = tmp_path / "graph.json"
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    for text in (json.dumps(descriptor), aio.canonical_dumps(descriptor)):  # read whole, then in pieces
+        graph.write_text(text, encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-m", "antimagic.cli", "export", str(graph), "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit_memory,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, aio.canonical_dumps(descriptor), "")
+
+
+def _wide_files(tmp_path):
+    """A spider p=4 composite of 22,197 edges with K120 centers, and the
+    paths of its graph descriptor and of its json and csv labelings, as the
+    CLI writes them."""
+    spec = {"base": {"type": "spider", "param": 4},
+            "attachments": [{"kind": "K", "params": [2]}] * 9 + [{"kind": "K", "params": [120]}] * 3}
+    inst, _ = aio.instance_from_json(spec)
+    labeling = run_type2(inst).labeling
+    g = inst.composite
+    paths = {name: tmp_path / name for name in ("graph.json", "labeling.json", "labeling.csv")}
+    cli._emit(aio.graph_chunks(g), paths["graph.json"])
+    sums = vertex_sums(g, labeling).sums
+    cli._emit(aio.labeling_chunks("json", g, labeling, inst.edge_roles, sums), paths["labeling.json"])
+    cli._emit(aio.labeling_chunks("csv", g, labeling), paths["labeling.csv"])
+    return g, labeling, paths
+
+
+def _peak_bytes(read):
+    """What read() returns, and the peak of traced memory above the start
+    while it ran."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = read()
+        return got, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, bound", [("labeling.json", 1), ("labeling.csv", 5)])
+def test_reading_a_labeling_file_holds_no_copy_of_it(tmp_path, name, bound):
+    """A labeling in this program's layout is read in pieces from the file,
+    so the read peaks below the file's size; a CSV labeling, read row by
+    row, below 5 times its size. Both hold the labels they return, 36 bytes
+    an edge."""
+    g, labeling, paths = _wide_files(tmp_path)
+    assert g.edge_count == 22_197
+    cli._load_labeling(paths[name], g)  # imports and first calls happen here
+    got, peak = _peak_bytes(lambda: cli._load_labeling(paths[name], g))
+    assert got == labeling
+    size = paths[name].stat().st_size
+    assert peak < bound * size, (peak, size)
+
+
+@pytest.mark.parametrize("layout", ["as written", "minified"])
+def test_graph_read_from_a_file_shares_its_vertex_ids(tmp_path, layout):
+    """Endpoints that name the same vertex are the same int object, whether
+    the file is read in pieces or whole."""
+    g, _, paths = _wide_files(tmp_path)
+    path = paths["graph.json"]
+    if layout == "minified":
+        path.write_text(json.dumps(json.loads(path.read_text(encoding="utf-8"))), encoding="utf-8")
+    read = cli._read_graph(path)
+    assert read == g and g.vertex_count > 300
+    ends = [end for edge in read.edges for end in edge]
+    assert len(set(map(id, ends))) == len(set(ends)) == g.vertex_count
+
+
 @pytest.mark.parametrize("fixture", ["pan_r5.json", "spider_p2.json", "spider_p4.json", "violating.json"])
 def test_piecewise_reads_keep_every_exit_and_error(capsys, tmp_path, monkeypatch, fixture):
     """`verify` and `export` on the files `build`, `label` and `export`

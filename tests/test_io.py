@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from collections import OrderedDict
 from enum import IntEnum
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from antimagic import build_type1, build_type2, io as aio
+from antimagic import build_type1, build_type2, cli, io as aio
 from antimagic import Labeling, make_graph, preset_graph, run_type1, run_type2, vertex_sums
 from antimagic.corona import AttachmentTooSmall, DisconnectedAttachment
 from antimagic.graphs import BadParams
@@ -540,29 +541,86 @@ def _outcome(read):
 
 @pytest.mark.parametrize("piece", [1, 300, aio._PIECE], ids=["each-row", "few-rows", "default"])
 @pytest.mark.parametrize("fixture", ["pan_r5.json", "spider_p2.json", "spider_p4.json", "violating.json"])
-def test_piecewise_reads_match_whole_reads(fixture, piece, monkeypatch):
-    """Read from the bytes of a file, a graph or labeling document gives
-    what `json.loads` and the reader of the whole value give: an equal
-    Graph or Labeling, or the same error. With a piece of 1 byte, every row
-    boundary is a cut."""
+def test_piecewise_reads_match_whole_reads(fixture, piece, monkeypatch, tmp_path):
+    """Read from the bytes of a file, or from the file itself as the CLI
+    reads it, a graph or labeling document gives what `json.loads` and the
+    reader of the whole value give: an equal Graph or Labeling, or the same
+    error. With a piece of 1 byte, every row boundary is a cut."""
     g, labeling, documents = _written_documents(fixture)
     monkeypatch.setattr(aio, "_PIECE", piece)
-    graph_data = documents["graph"].encode()
-    assert aio._graph_from_pieces(graph_data) == g
+    assert aio._graph_from_pieces(io.BytesIO(documents["graph"].encode())) == g
     for name in ("label", "export"):
-        assert aio._labeling_from_pieces(documents[name].encode(), g) == labeling
+        assert aio._labeling_from_pieces(io.BytesIO(documents[name].encode()), g) == labeling
+    path = tmp_path / "document.json"
     compared = 0
     for name, text in documents.items():
         for mutation, data in layout_mutations(text).items():
+            path.write_bytes(data)
             if name == "graph":
-                got = _outcome(lambda: aio.graph_from_json(data, "g.json"))
-                want = _outcome(lambda: aio.graph_from_json(aio.load_json(data, "g.json")))
+                got = _outcome(lambda: aio.graph_from_json(data, path))
+                read = _outcome(lambda: cli._read_graph(path))
+                want = _outcome(lambda: aio.graph_from_json(aio.load_json(data, path)))
             else:
-                got = _outcome(lambda: aio.labeling_from_json(data, g, "l.json"))
-                want = _outcome(lambda: aio.labeling_from_json(aio.load_json(data, "l.json"), g))
-            assert got == want, (name, mutation)
+                got = _outcome(lambda: aio.labeling_from_json(data, g, path))
+                read = _outcome(lambda: cli._load_labeling(path, g))
+                want = _outcome(lambda: aio.labeling_from_json(aio.load_json(data, path), g))
+            assert got == read == want, (name, mutation)
             compared += 1
     assert compared > 100
+
+
+def test_a_fault_in_the_last_piece_rewinds_to_the_whole_read(monkeypatch, tmp_path):
+    """When the rows read cleanly piece by piece up to a fault at the end,
+    the file is read again whole from its start: the error is the whole
+    read's, not the piecewise one's."""
+    g, _, documents = _written_documents("spider_p4.json")
+    monkeypatch.setattr(aio, "_PIECE", 300)
+    rows = layout_mutations(documents["label"])
+    last = max(int(name.split()[1]) for name in rows if name.startswith("row "))
+    data = rows[f"row {last} dropped"]
+    _, pieces = aio._pieces(io.BytesIO(data), aio._LABELING_ROW)
+    parsed = list(pieces)  # every piece reads; only the count of rows is off
+    assert len(parsed) > 3 and sum(map(len, parsed)) == g.edge_count - 1
+    path = tmp_path / "l.json"
+    path.write_bytes(data)
+    with pytest.raises(aio.SpecError, match=r"^labeling is missing edge \(\d+, \d+\)$"):
+        cli._load_labeling(path, g)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 7, 64])
+def test_piecewise_reads_in_blocks_of_any_size(block, monkeypatch):
+    """Reads of `_BLOCK` bytes find the end of the rows and cut the pieces
+    wherever the reads split a row or a separator."""
+    g, labeling, documents = _written_documents("spider_p2.json")
+    monkeypatch.setattr(aio, "_BLOCK", block)
+    for piece in (1, 50, 300):
+        monkeypatch.setattr(aio, "_PIECE", piece)
+        assert aio._graph_from_pieces(io.BytesIO(documents["graph"].encode())) == g
+        for name in ("label", "export"):
+            assert aio._labeling_from_pieces(io.BytesIO(documents[name].encode()), g) == labeling
+    data = documents["label"].encode()[:300]
+    for at in range(len(data) - 3):
+        file = io.BytesIO(data)
+        file.seek(at // 2)
+        assert aio._find(file, data[at : at + 4]) == data.find(data[at : at + 4], at // 2)
+    assert aio._find(io.BytesIO(data), b"\n  ]") == -1
+
+
+def test_a_file_that_cannot_seek_is_read_into_memory():
+    """A pipe is read whole first, then in pieces or, when that fails, as
+    the whole read from its start."""
+    g, labeling, documents = _written_documents("spider_p2.json")
+    data = documents["label"].encode()
+    outcomes = []
+    for document in (data, data[:-3]):
+        read, write = os.pipe()
+        with os.fdopen(read, "rb") as file:
+            with os.fdopen(write, "wb") as out:
+                out.write(document)  # within the pipe's buffer
+            assert not file.seekable()
+            outcomes.append(_outcome(lambda: aio.labeling_from_json(file, g, "pipe")))
+        assert outcomes[-1] == _outcome(lambda: aio.labeling_from_json(aio.load_json(document, "pipe"), g))
+    assert outcomes[0] == labeling and outcomes[1][0] is json.JSONDecodeError
 
 
 def test_piecewise_read_of_a_document_with_no_edges():
@@ -571,6 +629,25 @@ def test_piecewise_read_of_a_document_with_no_edges():
     assert aio.graph_from_json(text.encode()) == g
     labeling = Labeling((), 0)
     assert aio.labeling_from_json("".join(aio.labeling_chunks("json", g, labeling)).encode(), g) == labeling
+
+
+def test_csv_errors_keep_their_precedence():
+    """Rows are read one at a time, yet a csv.Error in any row comes first,
+    then a wrong header, then the first row that is not three integers."""
+    g = preset_graph("path", [3])
+    late = "0,1," + "9" * (csv.field_size_limit() + 1) + "\n"  # a csv.Error in the last row
+    cases = [
+        ("edge_u,edge_v,label\n0,1,x\n" + late, aio.SpecError, "labeling is not readable CSV: field larger"),
+        ("u,v,label\n0,1,1\n" + late, aio.SpecError, "labeling is not readable CSV: field larger"),
+        ("\nedge_u,edge_v,label\n0,1,1\n1,2,2\n", aio.SpecError, "csv header must be"),
+        ("u,v,label\n0,1,x\n", aio.SpecError, "csv header must be"),
+        ("edge_u,edge_v,label\n0,1,x\n\n1,2\n", NotABijection, "csv row ['0', '1', 'x'] needs integer"),
+        ("edge_u,edge_v,label\n0,1,1\n1,2\n0,1,x\n", NotABijection, "csv row ['1', '2'] needs integer"),
+    ]
+    for text, error, message in cases:
+        with pytest.raises(error) as raised:
+            aio.labeling_from_csv(text, g)
+        assert str(raised.value).startswith(message), text[:40]
 
 
 @pytest.mark.parametrize(
@@ -583,8 +660,9 @@ def test_piecewise_read_of_a_document_with_no_edges():
         [[0, 1, 1], [1, 2, 2], [2, 3, 3]],
         [[0, 1, 1]],
         [],
+        [[1, 2, 2], [0, 1, 1]],
     ],
-    ids=["in-order", "reordered", "missing", "twice", "extra", "short", "empty"],
+    ids=["in-order", "reordered", "missing", "twice", "extra", "short", "empty", "an edge in another's place"],
 )
 def test_csv_labelings_read_as_json_entries_do(rows):
     """A CSV labeling of integers reads as the JSON entries of its rows:

@@ -16,8 +16,8 @@ def test_peak_rss_runs_each_command_in_a_fresh_process():
         capture_output=True, text=True, timeout=120, check=True,
     )
     lines = done.stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["build", "label", "verify"]
+    assert [line.split()[0] for line in lines] == ["build", "label", "verify", "verify-csv"]
     for line in lines:
-        match = re.fullmatch(r"\w+ +exit 0 +peak +([\d.]+) MB +wall +([\d.]+) s", line)
+        match = re.fullmatch(r"[\w-]+ +exit 0 +peak +([\d.]+) MB +wall +([\d.]+) s", line)
         assert match, line
         assert float(match.group(1)) > 1

@@ -41,6 +41,19 @@ def test_rejects_non_bijection():
         vertex_sums(c3, Labeling((0, 1, 2), 3))
 
 
+@pytest.mark.parametrize("at", [0, 4095, 4096, 8191, 9998, 9999])
+def test_rejects_a_non_bijection_in_any_run_of_labels(at):
+    """The sorted labels are compared with 1..|E| in runs of 4,096: a label
+    out of place in any run, the last one partial, is found."""
+    path = make_graph(10_001, [(i, i + 1) for i in range(10_000)])
+    labels = list(range(1, 10_001))
+    assert vertex_sums(path, Labeling(tuple(labels), 10_000)).is_antimagic
+    for wrong in (10_001, 0, labels[at - 1] if at else 2):  # past |E|, zero, a repeat
+        changed = labels[:at] + [wrong] + labels[at + 1 :]
+        with pytest.raises(NotABijection, match="not a permutation"):
+            vertex_sums(path, Labeling(tuple(changed), 10_000))
+
+
 def test_handshake_identity(pan_r5, spider_p2):
     from antimagic import run_type1
 

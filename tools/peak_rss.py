@@ -7,12 +7,14 @@ run in a fresh process.
 
 Writes a spider p=4 spec with K2 on its nine leg edges and K_n (n =
 --center) on its three center edges to a temporary directory. Then runs
-`build --graph-out`, `label --out` and `verify` on it, in that order, each
-as a child process `python -m antimagic.cli` that imports the package from
-src/ of this checkout, with its standard output discarded. Prints one line
-per command: its exit code, its peak resident set size (`ru_maxrss` of that
-child alone, from `os.wait4`) and its wall time. Uses only the standard
-library.
+`build --graph-out`, `label --out` and `verify` on it, in that order, and
+last `verify` of the CSV labeling that `label --out --format csv` writes
+(`verify-csv`; that `label` run is not measured). Each runs as a child
+process `python -m antimagic.cli` that imports the package from src/ of
+this checkout, with its standard output discarded. Prints one line per
+measured command: its exit code, its peak resident set size (`ru_maxrss`
+of that child alone, from `os.wait4`) and its wall time. Uses only the
+standard library.
 """
 
 from __future__ import annotations
@@ -54,16 +56,19 @@ def main(argv: list[str] | None = None) -> int:
         work = Path(tmp)
         spec, graph, stem = work / "spec.json", work / "graph.json", work / "run"
         spec.write_text(json.dumps(spider_spec(args.center)), encoding="utf-8")
-        commands = {
-            "build": ["build", str(spec), "--graph-out", str(graph)],
-            "label": ["label", str(spec), "--out", str(stem)],
-            "verify": ["verify", str(graph), f"{stem}.labeling.json"],
-        }
+        commands = [  # (name, argv); a step named None is run but not printed
+            ("build", ["build", str(spec), "--graph-out", str(graph)]),
+            ("label", ["label", str(spec), "--out", str(stem)]),
+            ("verify", ["verify", str(graph), f"{stem}.labeling.json"]),
+            (None, ["label", str(spec), "--out", str(stem), "--format", "csv"]),
+            ("verify-csv", ["verify", str(graph), f"{stem}.labeling.csv"]),
+        ]
         failed = 0
-        for name, command in commands.items():
+        for name, command in commands:
             code, peak_mb, wall = run_child(command)
             failed += code != 0
-            print(f"{name:6}  exit {code}  peak {peak_mb:7.1f} MB  wall {wall:6.2f} s")
+            if name is not None:
+                print(f"{name:10}  exit {code}  peak {peak_mb:7.1f} MB  wall {wall:6.2f} s")
     return 1 if failed else 0
 
 
