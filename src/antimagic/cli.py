@@ -2,8 +2,8 @@
 
 Exit codes are a stable contract: 0 success or antimagic, 1 verified not
 antimagic or search exhausted or budget spent, 2 forced run with duplicate
-sums, 3 conditions unmet, 4 malformed labeling, 65 malformed input or
-input too large to hold in memory.
+sums, 3 conditions unmet, 4 malformed labeling, 65 malformed input, input
+too large to hold in memory or a usage error.
 """
 
 from __future__ import annotations
@@ -32,7 +32,10 @@ EXIT_BAD_INPUT = 65
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means duplicate sums here
+        raise SystemExit(EXIT_BAD_INPUT if exc.code else EXIT_OK) from None
     # Pause the cyclic collector for this one command. What a command builds
     # in bulk (JSON values, edge tuples, label lists, documents) holds no
     # reference cycle, so reference counting frees it all, and the collector
@@ -130,9 +133,10 @@ def _read_graph(path: Path) -> Graph:
 
 
 def _load_labeling(path: Path, g: Graph) -> Labeling:
-    """Read a labeling of g from a .csv file or, otherwise, a JSON file."""
+    """Read a labeling of g from a file whose suffix is .csv, in any case,
+    or, otherwise, a JSON file."""
     with path.open("rb") as file:
-        if path.suffix == ".csv":
+        if path.suffix.lower() == ".csv":
             return aio.labeling_from_csv(aio.decode_text(file.read(), path), g)
         return aio.labeling_from_json(file, g, path)
 

@@ -4,9 +4,9 @@ JSON output is canonical: for every JSON value, `canonical_dumps` returns
 exactly `json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`
 followed by one newline, written as UTF-8. Lists and str-keyed dicts go
 through one container path: their items, a dict's in key order, are
-written through row templates, many rows filled by one `%`, with columns
-typed by exact type, so `bool` is never written by `%d`. Exporting and
-re-importing a graph or labeling is lossless. A labeling document's edge
+written through row templates, many scalars or dict rows filled by one
+`%`, with columns typed by exact type, so `bool` is never written by
+`%d`. Exporting and re-importing a graph or labeling is lossless. A labeling document's edge
 roles are the strings of `CoronaInstance.edge_roles`, written as given.
 
 `labeling_chunks` and `graph_chunks` write a labeling document, JSON or
@@ -16,10 +16,9 @@ and the same bytes, so that a writer can pass each chunk on as it comes and
 hold neither one object per edge nor the whole document.
 `labeling_to_json` builds the same labeling document as a value.
 
-`graph_from_json` and `labeling_from_json` also take the bytes or the open
-binary file of a document. A document in the layout the chunk writers use
-is read from the file in pieces of about `_PIECE` bytes of rows, so that
-neither the document's bytes nor a JSON value per edge is held for the
+`graph_from_json` and `labeling_from_json` also take the open binary file
+of a document. A document in the layout the chunk writers use is read
+from the file in pieces of about `_PIECE` bytes of rows, so that neither the document's bytes nor a JSON value per edge is held for the
 whole document; any other document, and any piece that does not read
 cleanly, is read whole from the file's start, with the same result or the
 same error. `labeling_from_csv` reads its rows one at a time.
@@ -64,15 +63,15 @@ def canonical_dumps(obj: Any) -> str:
 
     `indent` sends `json` to its pure-Python encoder, so this renders the
     bulk shapes itself. A list and the values of a dict with str keys are
-    read alike, as items: items of one scalar type, or flat rows of one
-    shape (the labeling edges, the report chain, the composite's edge
-    pairs). Each shape has one row template, after a `"key": ` field for a
-    dict, repeated `_CHUNK` times and filled by one `%` per chunk of rows;
-    other items fill the template `%s` one by one. Columns are
-    typed by exact type: `int` values fill `%d` fields as they are, `str`
-    values fill `%s` fields through `encode_basestring`, and `bool`, an
-    `int` subclass, fills `%s` with `true`/`false`. Everything else goes
-    through `json.dumps`.
+    read alike, as items: items of one scalar type, or flat dicts with the
+    same str keys (the labeling edges, the report chain). Each shape has
+    one row template, after a `"key": ` field for a dict, repeated `_CHUNK`
+    times and filled by one `%` per chunk of rows; other items, such as
+    lists, fill the template `%s` one by one. Columns are typed by exact
+    type: `int` values fill `%d` fields as they are, `str` values fill `%s`
+    fields through `encode_basestring`, and `bool`, an `int` subclass,
+    fills `%s` with `true`/`false`. Everything else goes through
+    `json.dumps`.
     """
     try:
         return _encode(obj, 0) + "\n"
@@ -137,7 +136,7 @@ _EDGES_CLOSE = "\n  ]"
 _GRAPH_ROW = "[\n      %d,\n      %d\n    ]"
 _LABELING_ROW = "{\n      %s\n    }"  # filled with the fields, joined by ",\n      "
 _PIECE = 1 << 16  # bytes of row text parsed by one json.loads
-_BLOCK = 1 << 16  # bytes taken from a file by one read
+_BLOCK = 1 << 16  # bytes taken from a file by one read of `_find`
 
 
 def _edge_rows(row: str, count: int, *columns: Iterable[Any]) -> Iterator[str]:
@@ -158,14 +157,15 @@ def _pieces(file: BinaryIO, row: str) -> tuple[dict[str, Any], Iterator[list[Any
     one parsed list per piece.
 
     The rest of the document, from the first `_EDGES_CLOSE` on, is read
-    first; then the rows, `_BLOCK` bytes at a time, so that no more than
-    about a piece and a block of the file's bytes are held at once. A piece
-    is about `_PIECE` bytes of rows, cut at a row separator, a comma then a
-    newline: a JSON string holds no raw newline, and bytes of a multi-byte
-    UTF-8 character are never ASCII. Every piece must parse as a non-empty JSON list once
-    brackets close it, and the rest of the document must parse with no key
-    repeated (json.loads keeps the last of two "edges"). Then json.loads of
-    the whole text would give the same value, with the rows in its "edges"
+    first; then the rows, a piece at a time, each found by `_find` and read
+    by one read, so that no more than about a piece and a block of the
+    file's bytes are held at once. A piece is about `_PIECE` bytes of rows,
+    cut at a row separator, a comma then a newline: a JSON string holds no
+    raw newline, and bytes of a multi-byte UTF-8 character are never ASCII.
+    Every piece must parse as a non-empty JSON list once brackets close it,
+    and the rest of the document must parse with no key repeated
+    (json.loads keeps the last of two "edges"). Then json.loads of the
+    whole text would give the same value, with the rows in its "edges"
     list. Otherwise this raises ValueError (a JSON, UTF-8 or int-digits
     error among them) or RecursionError: the layout is not this program's,
     so the caller reads the document whole.
@@ -178,7 +178,7 @@ def _pieces(file: BinaryIO, row: str) -> tuple[dict[str, Any], Iterator[list[Any
     file.seek(stop)
     doc = json.loads((head + file.read()).decode("utf-8"), object_pairs_hook=_unique_keys)
     file.seek(len(head))
-    return doc, _piece_rows(file, stop - len(head), (_ROW_SEP + row[0]).encode())
+    return doc, _piece_rows(file, stop, (_ROW_SEP + row[0]).encode())
 
 
 def _find(file: BinaryIO, sub: bytes) -> int:
@@ -195,27 +195,25 @@ def _find(file: BinaryIO, sub: bytes) -> int:
     return -1
 
 
-def _piece_rows(file: BinaryIO, size: int, sep: bytes) -> Iterator[list[Any]]:
-    """The next `size` bytes of `file`, cut into pieces at the first `sep`
-    `_PIECE` or more bytes into each, one parsed list per piece."""
-    buf, left = bytearray(), size
-    while buf or left:
-        cut = buf.find(sep, _PIECE)
-        while cut < 0 and left:
-            searched = max(_PIECE, len(buf) + 1 - len(sep))
-            more = file.read(min(_BLOCK, left))
-            if not more:
-                raise SpecError("the file ended early")
-            left -= len(more)
-            buf += more
-            cut = buf.find(sep, searched)
-        if cut < 0:
-            cut = len(buf)
-        rows = json.loads("[" + buf[:cut].decode("utf-8") + "]")
+def _piece_rows(file: BinaryIO, stop: int, sep: bytes) -> Iterator[list[Any]]:
+    """The bytes of `file` from its position to the offset `stop`, cut into
+    pieces at the first `sep` `_PIECE` or more bytes into each, one parsed
+    list per piece."""
+    start = file.tell()
+    while start < stop:
+        file.seek(start + _PIECE)
+        cut = _find(file, sep)
+        if cut < 0 or cut > stop:
+            cut = stop
+        file.seek(start)
+        text = file.read(cut - start)
+        if len(text) != cut - start:
+            raise SpecError("the file ended early")
+        rows = json.loads("[" + text.decode("utf-8") + "]")
         if not rows:
             raise SpecError("an empty piece of rows")
         yield rows
-        del buf[: cut + 1]  # past the comma
+        start = cut + 1  # past the comma
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -237,24 +235,11 @@ def _column(values: Sequence[Any]) -> tuple[str, Iterable[Any]] | None:
 
 def _rows(items: Sequence[Any], level: int) -> tuple[Any, ...] | None:
     """The row template at `level`, then its columns, when every item is a
-    dict with the same str keys, or every item a list or tuple of the same
-    length, and each column holds one scalar type; else None."""
-    kinds = set(map(type, items))
-    if kinds != {dict} and not kinds <= {list, tuple}:
+    dict with the same str keys and each column holds one scalar type; else
+    None."""
+    if set(map(type, items)) != {dict} or len(set(map(len, items))) != 1 or set(map(type, items[0])) != {str}:
         return None
-    widths = set(map(len, items))
-    if len(widths) != 1 or 0 in widths:
-        return None
-    if kinds == {dict}:
-        if set(map(type, items[0])) != {str}:
-            return None
-        keys: Sequence[Any] = sorted(items[0])
-        prefixes = [encode_basestring(k).replace("%", "%%") + ": " for k in keys]
-        brackets = "{}"
-    else:
-        keys = range(widths.pop())
-        prefixes = [""] * len(keys)
-        brackets = "[]"
+    keys = sorted(items[0])
     try:  # equal sizes and the first row's keys make one key set
         typed = [_column(list(map(itemgetter(k), items))) for k in keys]
     except KeyError:
@@ -263,19 +248,17 @@ def _rows(items: Sequence[Any], level: int) -> tuple[Any, ...] | None:
         return None
     fields, columns = zip(*typed)
     inner = "\n" + _INDENT * (level + 1)
-    row = brackets[0] + inner + ("," + inner).join(map(str.__add__, prefixes, fields))
-    return (row + "\n" + _INDENT * level + brackets[1], *columns)
+    prefixes = [encode_basestring(k).replace("%", "%%") + ": " for k in keys]
+    row = "{" + inner + ("," + inner).join(map(str.__add__, prefixes, fields))
+    return (row + "\n" + _INDENT * level + "}", *columns)
 
 
-def graph_from_json(obj: Mapping[str, Any] | bytes | BinaryIO, source: object = "<bytes>") -> Graph:
+def graph_from_json(obj: Mapping[str, Any] | BinaryIO, source: object = "<file>") -> Graph:
     """Parse a graph descriptor: either {"kind", "params"} or
     {"vertices", "edges"[, "names"]}. `obj` is the parsed value, or the
-    bytes or the open binary file of the file `source`, read as `load_json`
-    reads it."""
-    if isinstance(obj, (bytes, _io.IOBase)):
-        obj = _read_document(obj, source, _graph_from_pieces)
-        if isinstance(obj, Graph):
-            return obj
+    open binary file of the file `source`, read as `load_json` reads it."""
+    if isinstance(obj, _io.IOBase):
+        return _read_document(obj, source, _graph_from_pieces, graph_from_json)
     if not isinstance(obj, Mapping):
         raise SpecError("graph descriptor must be an object")
     if "kind" in obj:
@@ -310,22 +293,20 @@ def _edge_pairs(edges: Any) -> list[list[int]]:
     return edges
 
 
-def _read_document(obj: bytes | BinaryIO, source: object, read: Callable[[BinaryIO], Any]) -> Any:
-    """What `read` takes in pieces from the document in `obj`, bytes or an
-    open binary file; or, when that raises ValueError or RecursionError,
+def _read_document(file: BinaryIO, source: object, read: Callable[..., Any], whole: Callable[..., Any]) -> Any:
+    """What `read` takes in pieces from the open binary file `file`; or,
+    when that raises ValueError or RecursionError, what `whole` makes of
     the JSON value of the whole document, read from its start by
     `load_json`. A file that cannot seek, such as a pipe, is read into
     memory first."""
-    if isinstance(obj, bytes):
-        obj = _io.BytesIO(obj)
-    elif not obj.seekable():
-        obj = _io.BytesIO(obj.read())
+    if not file.seekable():
+        file = _io.BytesIO(file.read())
     try:
-        return read(obj)
+        return read(file)
     except (ValueError, RecursionError):
         pass  # not a clean document in this program's layout
-    obj.seek(0)
-    return load_json(obj.read(), source)
+    file.seek(0)
+    return whole(load_json(file.read(), source))
 
 
 def _graph_from_pieces(file: BinaryIO) -> Graph:
@@ -461,16 +442,16 @@ def labeling_chunks(
     yield "\n}\n"
 
 
-def labeling_from_json(obj: Mapping[str, Any] | bytes | BinaryIO, g: Graph, source: object = "<bytes>") -> Labeling:
+def labeling_from_json(obj: Mapping[str, Any] | BinaryIO, g: Graph, source: object = "<file>") -> Labeling:
     """Rebuild a labeling for g from an exported edge list, matching by
     vertex pair. Entries need exact integers (not booleans) for u, v and
     label, and an edge listed twice is rejected; bijectivity of the labels
-    is left to the verifier. `obj` is the parsed value, or the bytes or the
-    open binary file of the file `source`, read as `load_json` reads it."""
-    if isinstance(obj, (bytes, _io.IOBase)):
-        obj = _read_document(obj, source, lambda file: _labeling_from_pieces(file, g))
-        if isinstance(obj, Labeling):
-            return obj
+    is left to the verifier. `obj` is the parsed value, or the open binary
+    file of the file `source`, read as `load_json` reads it."""
+    if isinstance(obj, _io.IOBase):
+        return _read_document(
+            obj, source, lambda file: _labeling_from_pieces(file, g), lambda doc: labeling_from_json(doc, g)
+        )
     if not isinstance(obj, Mapping) or not isinstance(obj.get("edges"), list):
         raise SpecError("labeling descriptor needs an edges list")
     us, vs, labels = _entry_columns(obj["edges"])

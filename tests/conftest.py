@@ -170,6 +170,9 @@ def layout_mutations(text):
     end = text.rindex("\n}")
     out['"edges" again'] = text[:end] + ',\n  "edges": []' + text[end:]
     out["an extra key"] = text[:end] + ',\n  "zz": {"edges": [1]}' + text[end:]
+    # Objects and lists indented as rows are: both row separators recur past the edges.
+    more = json.dumps([{"label": 1, "u": 0, "v": 1}, {"label": 2, "u": 1, "v": 2}, [0, 1], [1, 2]], indent=2)
+    out["rows after the edges"] = text[:end] + ',\n  "zz": ' + more.replace("\n", "\n  ") + text[end:]
     out["a preset's keys"] = text[:end] + ',\n  "kind": "K",\n  "params": [100]' + text[end:]
     out["the last key dropped"] = text[: text.rindex(',\n  "')] + text[end:]
     out["minified"] = json.dumps(json.loads(text), sort_keys=True)

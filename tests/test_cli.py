@@ -183,6 +183,36 @@ def test_verify_accepts_csv(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".CSV", ".Csv"])
+def test_csv_labelings_are_known_by_their_suffix_in_any_case(capsys, tmp_path, suffix):
+    graph, stem = tmp_path / "g.json", tmp_path / "r"
+    assert run_cli(capsys, "build", str(FIXTURES / "pan_r5.json"), "--graph-out", str(graph))[0] == 0
+    assert run_cli(capsys, "label", str(FIXTURES / "pan_r5.json"), "--format", "csv", "--out", str(stem))[0] == 0
+    lab = Path(f"{stem}.labeling.csv").rename(tmp_path / f"r.labeling{suffix}")
+    code, out, err = run_cli(capsys, "verify", str(graph), str(lab))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["is_antimagic"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["label", "spec.json", "--frce"], ["label"], ["search", "g.json", "--random", "--seed", "x"]],
+    ids=["unknown-option", "missing-spec", "bad-int"],
+)
+def test_usage_errors_exit_65_not_the_forced_duplicates_code(capsys, argv):
+    """argparse's usage and error lines are kept; the exit code is 65, as
+    for any malformed input, since 2 means a forced run with duplicate
+    sums."""
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 65
+    err = capsys.readouterr().err
+    assert err.startswith("usage: antimagic ") and "\nantimagic" in err and ": error: " in err
+    with pytest.raises(SystemExit) as raised:
+        main(["--help"])
+    assert raised.value.code == 0
+
+
 def test_search_exhaustive(capsys, tmp_path):
     p4 = tmp_path / "p4.json"
     p4.write_text(json.dumps({"kind": "P", "params": [4]}))

@@ -542,7 +542,7 @@ def _outcome(read):
 @pytest.mark.parametrize("piece", [1, 300, aio._PIECE], ids=["each-row", "few-rows", "default"])
 @pytest.mark.parametrize("fixture", ["pan_r5.json", "spider_p2.json", "spider_p4.json", "violating.json"])
 def test_piecewise_reads_match_whole_reads(fixture, piece, monkeypatch, tmp_path):
-    """Read from the bytes of a file, or from the file itself as the CLI
+    """Read from an in-memory file, or from the file itself as the CLI
     reads it, a graph or labeling document gives what `json.loads` and the
     reader of the whole value give: an equal Graph or Labeling, or the same
     error. With a piece of 1 byte, every row boundary is a cut."""
@@ -557,11 +557,11 @@ def test_piecewise_reads_match_whole_reads(fixture, piece, monkeypatch, tmp_path
         for mutation, data in layout_mutations(text).items():
             path.write_bytes(data)
             if name == "graph":
-                got = _outcome(lambda: aio.graph_from_json(data, path))
+                got = _outcome(lambda: aio.graph_from_json(io.BytesIO(data), path))
                 read = _outcome(lambda: cli._read_graph(path))
                 want = _outcome(lambda: aio.graph_from_json(aio.load_json(data, path)))
             else:
-                got = _outcome(lambda: aio.labeling_from_json(data, g, path))
+                got = _outcome(lambda: aio.labeling_from_json(io.BytesIO(data), g, path))
                 read = _outcome(lambda: cli._load_labeling(path, g))
                 want = _outcome(lambda: aio.labeling_from_json(aio.load_json(data, path), g))
             assert got == read == want, (name, mutation)
@@ -585,6 +585,52 @@ def test_a_fault_in_the_last_piece_rewinds_to_the_whole_read(monkeypatch, tmp_pa
     path.write_bytes(data)
     with pytest.raises(aio.SpecError, match=r"^labeling is missing edge \(\d+, \d+\)$"):
         cli._load_labeling(path, g)
+
+
+@pytest.mark.parametrize("piece", [1, 300, aio._PIECE], ids=["each-row", "few-rows", "default"])
+def test_rows_after_the_edges_list_are_not_read_as_edges(piece, monkeypatch):
+    """A list of rows under a key after "edges" repeats the row separator
+    past the end of the edges; the pieces stop at that end and read as the
+    whole read does."""
+    g, labeling, documents = _written_documents("spider_p4.json")
+    monkeypatch.setattr(aio, "_PIECE", piece)
+    rows = {name: layout_mutations(text)["rows after the edges"] for name, text in documents.items()}
+    for name, data in rows.items():
+        sep = b",\n    [" if name == "graph" else b",\n    {"
+        assert sep in data[data.index(b"\n  ]") :]
+    assert aio._graph_from_pieces(io.BytesIO(rows["graph"])) == g
+    for name in ("label", "export"):
+        assert aio._labeling_from_pieces(io.BytesIO(rows[name]), g) == labeling
+
+
+def test_pieces_are_cut_at_the_first_separator_a_piece_or_more_in(monkeypatch):
+    """Each piece ends at the first row separator `_PIECE` or more bytes
+    after its start, or at the end of the rows."""
+    _, _, documents = _written_documents("spider_p2.json")
+    data, sep = documents["label"].encode(), b",\n    {"
+    stop = data.index(b"\n  ]")
+    for piece in range(1, 200):
+        monkeypatch.setattr(aio, "_PIECE", piece)
+        want, start = [], len('{\n  "edges": [\n    ')
+        while start < stop:
+            cut = data.find(sep, start + piece, stop)
+            cut = stop if cut < 0 else cut
+            want.append(data.count(sep, start, cut) + 1)  # rows in the piece
+            start = cut + 1
+        _, pieces = aio._pieces(io.BytesIO(data), aio._LABELING_ROW)
+        assert list(map(len, pieces)) == want, piece
+
+
+def test_a_file_cut_short_while_read_in_pieces_raises():
+    """A file that shrinks after the rest of the document was read, here
+    to the end of a row, raises SpecError rather than giving fewer rows."""
+    g, _, documents = _written_documents("spider_p2.json")
+    data = documents["graph"].encode()
+    file = io.BytesIO(data)
+    _, pieces = aio._pieces(file, aio._GRAPH_ROW)
+    file.truncate(data.rindex(b",\n    [", 0, data.index(b"\n  ]")))
+    with pytest.raises(aio.SpecError, match="^the file ended early$"):
+        list(pieces)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 7, 64])
@@ -626,9 +672,10 @@ def test_a_file_that_cannot_seek_is_read_into_memory():
 def test_piecewise_read_of_a_document_with_no_edges():
     g = make_graph(3, [])
     text = "".join(aio.graph_chunks(g))
-    assert aio.graph_from_json(text.encode()) == g
+    assert aio.graph_from_json(io.BytesIO(text.encode())) == g
     labeling = Labeling((), 0)
-    assert aio.labeling_from_json("".join(aio.labeling_chunks("json", g, labeling)).encode(), g) == labeling
+    document = "".join(aio.labeling_chunks("json", g, labeling)).encode()
+    assert aio.labeling_from_json(io.BytesIO(document), g) == labeling
 
 
 def test_csv_errors_keep_their_precedence():

@@ -21,3 +21,14 @@ def test_peak_rss_runs_each_command_in_a_fresh_process():
         match = re.fullmatch(r"[\w-]+ +exit 0 +peak +([\d.]+) MB +wall +([\d.]+) s", line)
         assert match, line
         assert float(match.group(1)) > 1
+
+
+def test_code_lines_counts_each_module_once_and_sums_them():
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "code_lines.py")], capture_output=True, text=True, timeout=60, check=True
+    )
+    *modules, total = [line.split() for line in done.stdout.splitlines()]
+    package = TOOLS.parent / "src" / "antimagic"
+    assert [name for name, _ in modules] == sorted(path.name for path in package.glob("*.py"))
+    assert total[0] == "total"
+    assert sum(int(count) for _, count in modules) == int(total[1].replace(",", "")) > 0
