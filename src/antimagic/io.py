@@ -563,14 +563,14 @@ def load_json(data: bytes, source: object) -> Any:
     """The JSON value in the bytes of the file `source`, read by
     `decode_text`. Text too deeply nested to read, or an integer longer
     than `sys.get_int_max_str_digits()`, raises SpecError; malformed JSON
-    raises `json.JSONDecodeError`."""
+    raises `json.JSONDecodeError` with a message that starts with `source`."""
     text = decode_text(data, source)
     try:
         return json.loads(text)
     except RecursionError:
         raise SpecError(f"{source}: JSON nested too deeply") from None
-    except json.JSONDecodeError:
-        raise
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{source}: {exc.msg}", exc.doc, exc.pos) from None
     except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
         raise SpecError(f"{source}: {exc}") from None
 

@@ -1,12 +1,12 @@
 """Constructive antimagic labelings for pan-base and spider-base coronas.
 
-Each construction is a schedule, a list of steps that together give the
-label order: the edge ids in the order they receive the labels 1..|E|. A
-step appends either edges in layout order or the edges joining a fan centre
-to vertices ranked on their partial sums. The partial sums are settled just
-before each ranking, and once at the end. Under the checked hypotheses every
-vertex sum lands in a strictly increasing chain, which is what makes the
-result antimagic.
+Each construction is a schedule, a list of steps that hand out the labels
+1..|E| in turn. A step gives the next labels either to edges in layout order
+or to the edges joining a fan centre to vertices ranked on their partial
+sums, the sums of the labels handed out so far. Each label is added to both
+endpoint sums as it is handed out. Under the checked hypotheses every vertex
+sum lands in a strictly increasing chain, which is what makes the result
+antimagic.
 
 Pan base (run_type1): the pendant star and every block's internal edges,
 to checkpoint c; the ranked cross fans, to b; the rim edges.
@@ -191,60 +191,57 @@ def _ranked(
 def _execute(g: Graph, steps: Iterable[tuple]) -> tuple[LabelingRun, list[int]]:
     """Run a schedule on g; return the run and the vertex sums.
 
-    The steps build the label order, the list of edge ids that receive the
-    labels 1, 2, ..., |E| in turn:
+    The steps hand out the labels 1, 2, ..., |E| in turn. An edge's label is
+    added to both endpoint sums as it is handed out, so every sum is current
+    at each step:
 
-    - ("run", edge_ids): the edges join the order as given.
+    - ("run", edge_ids): the edges get the next labels, as given.
     - ("ranked", block, prefix, star): star maps each vertex to its edges,
-      one per fan. The vertices are ranked on their partial sums, each fan
-      joins the order in rank order, and the ranked vertices join the chain
-      as prefix1, prefix2, ... (not at all if prefix is None).
+      one per fan. The vertices are ranked on their sums so far, each fan's
+      edges get the next labels in rank order, and the ranked vertices join
+      the chain as prefix1, prefix2, ... (not at all if prefix is None).
     - ("mark", name[, value]): checkpoint name is the last label handed out
       so far, or value.
     - ("link", name, vertex): vertex joins the chain.
 
-    The partial sums are settled, labels written and sums added, only before
-    each ranking and once at the end, so every edge is touched once. The
-    order must hold every edge exactly once.
+    The steps must hand out a label to every edge exactly once.
     """
     edges = g.edges
-    order: list[int] = []
     labels = [0] * g.edge_count
     sums = [0] * g.vertex_count
+    handed = 0
 
-    def settle(done: int) -> int:
-        for label, edge_id in enumerate(order[done:], start=done + 1):
+    def hand_out(edge_ids: Sequence[int]) -> None:
+        nonlocal handed
+        for label, edge_id in enumerate(edge_ids, start=handed + 1):
             labels[edge_id] = label
             u, v = edges[edge_id]
             sums[u] += label
             sums[v] += label
-        return len(order)
+        handed += len(edge_ids)
 
-    settled = 0
     ranked: list[RankedBlock] = []
     offsets: list[tuple[str, int]] = []
     entries: list[tuple[str, int]] = []
     for step in steps:
         match step:
             case ("run", edge_ids):
-                order += edge_ids
+                hand_out(edge_ids)
             case ("ranked", block, prefix, star):
-                settled = settle(settled)
                 rk = rank_by_partial_sums(star, sums, block=block)
                 for fan in zip(*map(star.__getitem__, rk.vertices)):
-                    order += fan
+                    hand_out(fan)
                 ranked.append(rk)
                 if prefix is not None:
                     entries += [(f"{prefix}{k}", v) for k, v in enumerate(rk.vertices, start=1)]
             case ("mark", name):
-                offsets.append((name, len(order)))
+                offsets.append((name, handed))
             case ("mark", name, value):
                 offsets.append((name, value))
             case ("link", name, vertex):
                 entries.append((name, vertex))
-    if len(order) != g.edge_count:
-        raise LabelingError(f"label order has {len(order)} edges, expected {g.edge_count}")
-    settle(settled)
+    if handed != g.edge_count:
+        raise LabelingError(f"label order has {handed} edges, expected {g.edge_count}")
     if 0 in labels:
         missing = [i for i, label in enumerate(labels) if label == 0]
         raise LabelingError(f"label order repeats edges and leaves out {missing[:5]}")

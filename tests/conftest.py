@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -111,6 +113,19 @@ def plain_enumeration(g):
         if len(set(recomputed_sums(g, perm))) == g.vertex_count:
             return perm
     return None
+
+
+def peak_bytes(read):
+    """What read() returns, and the peak of traced memory above the start
+    while it ran."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = read()
+        return got, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def read_whole(data, *args):

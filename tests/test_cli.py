@@ -16,7 +16,7 @@ from antimagic import cli, run_type2, vertex_sums
 from antimagic import io as aio
 from antimagic.cli import main
 
-from .conftest import layout_mutations, read_whole
+from .conftest import layout_mutations, peak_bytes, read_whole
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -542,6 +542,21 @@ def test_unreadable_graph_or_labeling_is_input_error(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_a_json_syntax_error_names_its_file(capsys, tmp_path):
+    """Malformed JSON in a spec, a graph or a labeling ends with exit 65 and
+    one error line that names the file it is in."""
+    p3 = _p3_graph(tmp_path)
+    spec, graph, labeling = (tmp_path / f"bad_{name}.json" for name in ("spec", "graph", "labeling"))
+    spec.write_text('{"base": ')
+    graph.write_text("")
+    labeling.write_text('{"edges": [{"u": 0, "v": 1, "label": 1},]}')
+    for argv, bad in ((("label", spec), spec), (("verify", graph, p3), graph), (("verify", p3, labeling), labeling)):
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert code == 65, argv
+        assert out == ""
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("fmt", ["json", "dot"])
 def test_export_of_a_lone_surrogate_name_writes_nothing(capsys, tmp_path, fmt):
     graph = tmp_path / "g.json"
@@ -850,19 +865,6 @@ def _wide_files(tmp_path):
     return g, labeling, paths
 
 
-def _peak_bytes(read):
-    """What read() returns, and the peak of traced memory above the start
-    while it ran."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        got = read()
-        return got, tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("name, bound", [("labeling.json", 1), ("labeling.csv", 5)])
 def test_reading_a_labeling_file_holds_no_copy_of_it(tmp_path, name, bound):
     """A labeling in this program's layout is read in pieces from the file,
@@ -872,7 +874,7 @@ def test_reading_a_labeling_file_holds_no_copy_of_it(tmp_path, name, bound):
     g, labeling, paths = _wide_files(tmp_path)
     assert g.edge_count == 22_197
     cli._load_labeling(paths[name], g)  # imports and first calls happen here
-    got, peak = _peak_bytes(lambda: cli._load_labeling(paths[name], g))
+    got, peak = peak_bytes(lambda: cli._load_labeling(paths[name], g))
     assert got == labeling
     size = paths[name].stat().st_size
     assert peak < bound * size, (peak, size)

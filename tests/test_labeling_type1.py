@@ -20,7 +20,7 @@ from antimagic import (
 from antimagic import io as aio
 from antimagic.labeling import ConditionsNotMet, LabelingError, WrongBaseType, _execute
 
-from .conftest import C, K, named_sums
+from .conftest import C, K, P, named_sums, recomputed_sums
 
 
 def _k2_pan():
@@ -40,6 +40,24 @@ def test_label_block_consecutive():
     assert sorted(labels) == list(range(1, 25))
     assert sums == list(vertex_sums(g, run.labeling).sums)
 
+    # A ranked step ranks on the sums of the labels 1..k handed out before
+    # it, then hands out each fan's next labels in rank order.
+    inst = build_type1(3, [K(2), P(3), K(2), K(2)])
+    g, blk = inst.composite, inst.block(1)
+    fans = blk.cross_fan(0), blk.cross_fan(1)
+    k = fans[0].start
+    star = dict(zip(blk.vertex_ids, zip(*fans)))
+    steps = [("run", range(k)), ("ranked", 1, "a", star), ("run", range(fans[1].stop, g.edge_count))]
+    run, sums = _execute(g, steps)
+    (rk,) = run.ranked_blocks
+    before = recomputed_sums(g, [*range(1, k + 1)] + [0] * (g.edge_count - k))
+    assert rk.vertices == (6, 8, 7)
+    assert rk.partial_sums == tuple(before[v] for v in rk.vertices) == (10, 11, 21)
+    labels = run.labeling.labels
+    handed = [labels[star[v][side]] for side in (0, 1) for v in rk.vertices]
+    assert handed == list(range(k + 1, k + 1 + 2 * len(star)))
+    assert sums == list(vertex_sums(g, run.labeling).sums)
+
 
 def test_label_block_empty():
     # An empty run step hands out no label.
@@ -50,17 +68,21 @@ def test_label_block_empty():
     assert run.labeling.labels == tuple(range(1, 25))
 
 
+# A ranked step that hands edge 12 out twice and edge 13 never.
+RANKED_OVERLAP = [("run", range(12)), ("ranked", 0, "a", {4: (12,), 5: (12,)}), ("run", range(14, 24))]
+
+
 def test_label_block_relabel_rejected():
     # The label order must hold every edge exactly once.
     g = _k2_pan()
     bad_orders = [
-        [("run", [0]), ("run", [0]), ("run", range(2, 24))],  # repeat and omission
-        [("run", [0]), ("run", range(24))],  # repeat, one edge too many
-        [("run", range(1, 24))],  # omission, one edge too few
-        [("run", range(12)), ("ranked", 0, "a", {4: (12,), 5: (12,)}), ("run", range(14, 24))],
+        ([("run", [0]), ("run", [0]), ("run", range(2, 24))], r"leaves out \[1\]"),  # repeat and omission
+        ([("run", [0]), ("run", range(24))], "has 25 edges, expected 24"),  # repeat, one edge too many
+        ([("run", range(1, 24))], "has 23 edges"),  # omission, one edge too few
+        (RANKED_OVERLAP, r"leaves out \[13\]"),
     ]
-    for steps in bad_orders:
-        with pytest.raises(LabelingError):
+    for steps, message in bad_orders:
+        with pytest.raises(LabelingError, match=message):
             _execute(g, steps)
 
 
@@ -70,7 +92,7 @@ def test_label_order_checked_under_optimize():
         "from antimagic import build_type1, preset_graph\n"
         "from antimagic.labeling import LabelingError, _execute\n"
         "g = build_type1(3, [preset_graph('complete', [2])] * 4).composite\n"
-        "for steps in ([('run', [0, 0, *range(2, 24)])], [('run', range(23))]):\n"
+        f"for steps in ([('run', [0, 0, *range(2, 24)])], [('run', range(23))], {RANKED_OVERLAP!r}):\n"
         "    try:\n"
         "        _execute(g, steps)\n"
         "    except LabelingError:\n"

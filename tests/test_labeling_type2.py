@@ -18,7 +18,7 @@ from antimagic.labeling import (
     WrongBaseType,
 )
 
-from .conftest import C, K, P, named_sums, ranked
+from .conftest import C, K, P, named_sums, peak_bytes, ranked
 
 
 def test_spider_p2_exact_sums(spider_p2):
@@ -203,3 +203,17 @@ def test_forced_run_keeps_ranked_blocks_collision_free():
 def test_wrong_base_type_spider(pan_r5):
     with pytest.raises(WrongBaseType):
         run_type2(pan_r5)
+
+
+def test_the_schedule_holds_no_list_of_edge_ids():
+    """A forced run on a spider p=4 with K120 centers (22,197 edges) peaks
+    below 64 traced bytes an edge above its start: room for the labels, the
+    sums and the run it returns, but not for one more list with an entry
+    per edge."""
+    inst = build_type2(4, [K(2)] * 9 + [K(120)] * 3)
+    g = inst.composite
+    assert g.edge_count == 22_197
+    first = run_type2(inst, force=True)  # imports and first calls happen here
+    run, peak = peak_bytes(lambda: run_type2(inst, force=True))
+    assert run == first
+    assert peak < 64 * g.edge_count, (peak, g.edge_count)
