@@ -18,10 +18,12 @@ hold neither one object per edge nor the whole document.
 
 `graph_from_json` and `labeling_from_json` also take the open binary file
 of a document. A document in the layout the chunk writers use is read
-from the file in pieces of about `_PIECE` bytes of rows, so that neither the document's bytes nor a JSON value per edge is held for the
-whole document; any other document, and any piece that does not read
-cleanly, is read whole from the file's start, with the same result or the
-same error. `labeling_from_csv` reads its rows one at a time.
+forward once, `_PIECE` bytes at a time, and its rows are parsed in pieces
+cut at row separators, so that neither the document's bytes nor a JSON
+value per edge is held for the whole document; any other document, and
+any piece that does not read cleanly, is read whole from the file's
+start, with the same result or the same error. `labeling_from_csv` reads
+its rows one at a time.
 
 Readers take JSON values by exact type: integers are `int` and never
 `bool`, flags are `bool`. A malformed descriptor raises `SpecError`; a
@@ -34,6 +36,7 @@ import csv
 import io as _io
 import json
 import re
+import sys
 from collections import Counter
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring
@@ -135,8 +138,7 @@ _ROW_SEP = ",\n    "
 _EDGES_CLOSE = "\n  ]"
 _GRAPH_ROW = "[\n      %d,\n      %d\n    ]"
 _LABELING_ROW = "{\n      %s\n    }"  # filled with the fields, joined by ",\n      "
-_PIECE = 1 << 16  # bytes of row text parsed by one json.loads
-_BLOCK = 1 << 16  # bytes taken from a file by one read of `_find`
+_PIECE = 1 << 16  # bytes taken from a file by one read, about the row text of one json.loads
 
 
 def _edge_rows(row: str, count: int, *columns: Iterable[Any]) -> Iterator[str]:
@@ -150,70 +152,48 @@ def _edge_rows(row: str, count: int, *columns: Iterable[Any]) -> Iterator[str]:
     yield _EDGES_CLOSE
 
 
-def _pieces(file: BinaryIO, row: str) -> tuple[dict[str, Any], Iterator[list[Any]]]:
-    """Read a document that `_edge_rows` wrote with the template `row` in
-    pieces, from the start of the seekable binary file `file`: the document
-    with its "edges" list empty, and an iterator over the rows of that list,
-    one parsed list per piece.
+def _pieces(file: BinaryIO, row: str, doc: dict[str, Any]) -> Iterator[list[Any]]:
+    """Read a document that `_edge_rows` wrote with the template `row`
+    forward, once, from the start of the seekable binary file `file`: the
+    rows of its "edges" list, one parsed list per piece, and then the rest
+    of the document, put in `doc` with that list empty.
 
-    The rest of the document, from the first `_EDGES_CLOSE` on, is read
-    first; then the rows, a piece at a time, each found by `_find` and read
-    by one read, so that no more than about a piece and a block of the
-    file's bytes are held at once. A piece is about `_PIECE` bytes of rows,
-    cut at a row separator, a comma then a newline: a JSON string holds no
-    raw newline, and bytes of a multi-byte UTF-8 character are never ASCII.
-    Every piece must parse as a non-empty JSON list once brackets close it,
-    and the rest of the document must parse with no key repeated
-    (json.loads keeps the last of two "edges"). Then json.loads of the
-    whole text would give the same value, with the rows in its "edges"
-    list. Otherwise this raises ValueError (a JSON, UTF-8 or int-digits
-    error among them) or RecursionError: the layout is not this program's,
-    so the caller reads the document whole.
+    After the head, the file is read `_PIECE` bytes at a time into one
+    buffer, and only bytes not searched yet are searched: for the first
+    `_EDGES_CLOSE`, else for the last row separator: a comma, a newline,
+    the indent and the row's first character. While no close turns up,
+    the buffer up to that separator is a piece, parsed and dropped, so the
+    buffer holds about a piece and a row; the close ends the last piece,
+    and the rest of the document is read and parsed after it, by `_REST`.
+    A JSON string holds no raw newline, and bytes of a multi-byte UTF-8
+    character are never ASCII. Every piece must parse as a non-empty JSON
+    list once brackets close it, and the rest of the document must parse
+    with no key repeated (json.loads keeps the last of two "edges"). Then
+    json.loads of the whole text would give the same value, with the rows
+    in its "edges" list. Otherwise this raises ValueError (a JSON, UTF-8 or
+    int-digits error among them) or RecursionError: the layout is not this
+    program's, so the caller reads the document whole.
     """
-    head = _EDGES_OPEN.encode()
+    head, close, sep = _EDGES_OPEN.encode(), _EDGES_CLOSE.encode(), (_ROW_SEP + row[0]).encode()
     file.seek(0)
-    stop = _find(file, _EDGES_CLOSE.encode()) if file.read(len(head)) == head else -1
-    if stop < 0:
+    if file.read(len(head)) != head:
         raise SpecError("not an edge list in this program's layout")
-    file.seek(stop)
-    doc = json.loads((head + file.read()).decode("utf-8"), object_pairs_hook=_unique_keys)
-    file.seek(len(head))
-    return doc, _piece_rows(file, stop, (_ROW_SEP + row[0]).encode())
-
-
-def _find(file: BinaryIO, sub: bytes) -> int:
-    """The offset of the first `sub` in `file` from its position on, read
-    `_BLOCK` bytes at a time; -1 when there is none."""
-    start, block = file.tell(), b""  # block starts at offset start
-    while more := file.read(_BLOCK):
-        kept = block[1 - len(sub) :]  # a match may span two reads
-        start += len(block) - len(kept)
-        block = kept + more
-        found = block.find(sub)
-        if found >= 0:
-            return start + found
-    return -1
-
-
-def _piece_rows(file: BinaryIO, stop: int, sep: bytes) -> Iterator[list[Any]]:
-    """The bytes of `file` from its position to the offset `stop`, cut into
-    pieces at the first `sep` `_PIECE` or more bytes into each, one parsed
-    list per piece."""
-    start = file.tell()
-    while start < stop:
-        file.seek(start + _PIECE)
-        cut = _find(file, sep)
-        if cut < 0 or cut > stop:
-            cut = stop
-        file.seek(start)
-        text = file.read(cut - start)
-        if len(text) != cut - start:
-            raise SpecError("the file ended early")
-        rows = json.loads("[" + text.decode("utf-8") + "]")
-        if not rows:
-            raise SpecError("an empty piece of rows")
-        yield rows
-        start = cut + 1  # past the comma
+    buf, stop = bytearray(), -1
+    while stop < 0:
+        new = max(len(buf) - len(sep), 0)  # searched before, but for a match that spans two reads
+        more = file.read(_PIECE)
+        if not more:
+            raise SpecError("the file ends inside the rows")
+        buf += more
+        stop = buf.find(close, new)
+        cut = stop if stop >= 0 else buf.rfind(sep, new)
+        if cut >= 0:
+            rows = json.loads("[" + buf[:cut].decode("utf-8") + "]")
+            if not rows:
+                raise SpecError("an empty piece of rows")
+            yield rows
+            del buf[: cut + 1]  # past the comma, or the close's newline
+    doc.update(_REST.decode((head + buf + file.read()).decode("utf-8")))
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -221,6 +201,14 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     if len(obj) != len(pairs):
         raise SpecError("a key repeats")
     return obj
+
+
+# What json.loads(text, object_pairs_hook=_unique_keys) does for a text
+# with no byte order mark, with one decoder for every read. json.loads
+# makes a decoder and a scanner per call when given a hook; made at the
+# end of each read, those objects left the wide-blocks benchmark's
+# resident set creeping up by about 1 MB a pass.
+_REST = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
 def _column(values: Sequence[Any]) -> tuple[str, Iterable[Any]] | None:
@@ -310,14 +298,17 @@ def _read_document(file: BinaryIO, source: object, read: Callable[..., Any], who
 
 
 def _graph_from_pieces(file: BinaryIO) -> Graph:
-    """The graph in a descriptor that `graph_chunks` wrote, with its edge
-    pairs passed to `make_graph` piece by piece."""
-    doc, pieces = _pieces(file, _GRAPH_ROW)
-    if "kind" in doc:
-        raise SpecError("a preset descriptor")
-    # The whole read's checks of vertices and names, on no edges.
+    """The graph in a descriptor that `graph_chunks` wrote. Its edge pairs
+    go to one `make_graph` with no upper vertex bound as the pieces are
+    read, since "vertices" and "names" come after the edges; then the
+    whole read's checks of vertices and names are made on no edges, and
+    every edge's upper end must be below the vertex count."""
+    doc: dict[str, Any] = {}
+    g = make_graph(sys.maxsize, chain.from_iterable(map(_edge_pairs, _pieces(file, _GRAPH_ROW, doc))))
     shell = graph_from_json(doc)
-    return make_graph(shell.vertex_count, chain.from_iterable(map(_edge_pairs, pieces)), shell.names)
+    if "kind" in doc or max(map(itemgetter(1), g.edges)) >= shell.vertex_count:
+        raise SpecError("a preset descriptor, or an edge past the vertices")
+    return Graph(shell.vertex_count, g.edges, shell.names)
 
 
 def graph_chunks(g: Graph) -> Iterator[str]:
@@ -461,9 +452,8 @@ def labeling_from_json(obj: Mapping[str, Any] | BinaryIO, g: Graph, source: obje
 def _labeling_from_pieces(file: BinaryIO, g: Graph) -> Labeling:
     """The labeling in a document that `labeling_chunks` wrote, each piece
     of entries matched to the edges of g at the same positions."""
-    _, pieces = _pieces(file, _LABELING_ROW)
     labels: list[int] = []
-    for entries in pieces:
+    for entries in _pieces(file, _LABELING_ROW, {}):
         edges = g.edges[len(labels) : len(labels) + len(entries)]
         labels += _ordered_labels(edges, *_entry_columns(entries))
     if len(labels) != g.edge_count:

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import time
 from collections import OrderedDict
 from enum import IntEnum
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from antimagic import build_type1, build_type2, cli, io as aio
 from antimagic import Labeling, make_graph, preset_graph, run_type1, run_type2, vertex_sums
 from antimagic.corona import AttachmentTooSmall, DisconnectedAttachment
-from antimagic.graphs import BadParams
+from antimagic.graphs import BadParams, IndexOutOfRange
 from antimagic.verify import NotABijection
 
 from .conftest import graph_descriptor, layout_mutations
@@ -578,8 +579,7 @@ def test_a_fault_in_the_last_piece_rewinds_to_the_whole_read(monkeypatch, tmp_pa
     rows = layout_mutations(documents["label"])
     last = max(int(name.split()[1]) for name in rows if name.startswith("row "))
     data = rows[f"row {last} dropped"]
-    _, pieces = aio._pieces(io.BytesIO(data), aio._LABELING_ROW)
-    parsed = list(pieces)  # every piece reads; only the count of rows is off
+    parsed = list(aio._pieces(io.BytesIO(data), aio._LABELING_ROW, {}))  # only the count of rows is off
     assert len(parsed) > 3 and sum(map(len, parsed)) == g.edge_count - 1
     path = tmp_path / "l.json"
     path.write_bytes(data)
@@ -603,53 +603,107 @@ def test_rows_after_the_edges_list_are_not_read_as_edges(piece, monkeypatch):
         assert aio._labeling_from_pieces(io.BytesIO(rows[name]), g) == labeling
 
 
-def test_pieces_are_cut_at_the_first_separator_a_piece_or_more_in(monkeypatch):
-    """Each piece ends at the first row separator `_PIECE` or more bytes
-    after its start, or at the end of the rows."""
+def test_pieces_are_cut_at_the_last_separator_read_so_far(monkeypatch):
+    """After each read of `_PIECE` bytes, the rows read so far up to the
+    last row separator in them make a piece; once the close of the rows is
+    read, it ends the last piece."""
     _, _, documents = _written_documents("spider_p2.json")
-    data, sep = documents["label"].encode(), b",\n    {"
-    stop = data.index(b"\n  ]")
+    data, sep, close = documents["label"].encode(), b",\n    {", b"\n  ]"
+    stop = data.index(close)
     for piece in range(1, 200):
         monkeypatch.setattr(aio, "_PIECE", piece)
-        want, start = [], len('{\n  "edges": [\n    ')
-        while start < stop:
-            cut = data.find(sep, start + piece, stop)
-            cut = stop if cut < 0 else cut
-            want.append(data.count(sep, start, cut) + 1)  # rows in the piece
-            start = cut + 1
-        _, pieces = aio._pieces(io.BytesIO(data), aio._LABELING_ROW)
-        assert list(map(len, pieces)) == want, piece
+        want, first = [], len('{\n  "edges": [\n    ')  # first: where the next piece starts
+        end = first  # the bytes read so far
+        while (end := end + piece) < stop + len(close):
+            cut = data.rfind(sep, first, end)
+            if cut >= 0:
+                want.append(data.count(sep, first, cut) + 1)  # rows in the piece
+                first = cut + 1
+        want.append(data.count(sep, first, stop) + 1)
+        assert list(map(len, aio._pieces(io.BytesIO(data), aio._LABELING_ROW, {}))) == want, piece
 
 
-def test_a_file_cut_short_while_read_in_pieces_raises():
-    """A file that shrinks after the rest of the document was read, here
-    to the end of a row, raises SpecError rather than giving fewer rows."""
-    g, _, documents = _written_documents("spider_p2.json")
+def test_a_file_cut_short_while_read_in_pieces_raises(tmp_path):
+    """A file that ends inside the rows, here at the end of a row, raises
+    SpecError from the piece reader rather than giving fewer rows; read
+    through `graph_from_json`, it ends with the whole read's error."""
+    _, _, documents = _written_documents("spider_p2.json")
     data = documents["graph"].encode()
-    file = io.BytesIO(data)
-    _, pieces = aio._pieces(file, aio._GRAPH_ROW)
-    file.truncate(data.rindex(b",\n    [", 0, data.index(b"\n  ]")))
-    with pytest.raises(aio.SpecError, match="^the file ended early$"):
-        list(pieces)
+    data = data[: data.rindex(b",\n    [", 0, data.index(b"\n  ]"))]
+    with pytest.raises(aio.SpecError, match="^the file ends inside the rows$"):
+        list(aio._pieces(io.BytesIO(data), aio._GRAPH_ROW, {}))
+    path = tmp_path / "g.json"
+    got = _outcome(lambda: aio.graph_from_json(io.BytesIO(data), path))
+    assert got == _outcome(lambda: aio.graph_from_json(aio.load_json(data, path)))
+    assert got[0] is json.JSONDecodeError
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 7, 64])
-def test_piecewise_reads_in_blocks_of_any_size(block, monkeypatch):
-    """Reads of `_BLOCK` bytes find the end of the rows and cut the pieces
-    wherever the reads split a row or a separator."""
+def test_an_edge_past_the_vertex_count_fails_as_the_whole_read(tmp_path):
+    """The edge pairs are taken before "vertices" is read, so an edge whose
+    upper end is not below the count given after the rows makes the piece
+    read fail, and the whole read reports it."""
+    data = "".join(aio.graph_chunks(preset_graph("path", [50]))).replace('"vertices": 50', '"vertices": 49').encode()
+    with pytest.raises(aio.SpecError, match="an edge past the vertices"):
+        aio._graph_from_pieces(io.BytesIO(data))
+    path = tmp_path / "g.json"
+    got = _outcome(lambda: aio.graph_from_json(io.BytesIO(data), path))
+    assert got == _outcome(lambda: aio.graph_from_json(aio.load_json(data, path)))
+    assert got[0] is IndexOutOfRange
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3, 4, 5, 6, 7, 64])
+def test_piecewise_reads_in_blocks_of_any_size(piece, monkeypatch):
+    """Reads of `_PIECE` bytes find the end of the rows and cut the pieces
+    wherever the reads split a row, a row separator (6 bytes) or the close
+    of the rows (4 bytes)."""
     g, labeling, documents = _written_documents("spider_p2.json")
-    monkeypatch.setattr(aio, "_BLOCK", block)
-    for piece in (1, 50, 300):
-        monkeypatch.setattr(aio, "_PIECE", piece)
-        assert aio._graph_from_pieces(io.BytesIO(documents["graph"].encode())) == g
-        for name in ("label", "export"):
-            assert aio._labeling_from_pieces(io.BytesIO(documents[name].encode()), g) == labeling
-    data = documents["label"].encode()[:300]
-    for at in range(len(data) - 3):
-        file = io.BytesIO(data)
-        file.seek(at // 2)
-        assert aio._find(file, data[at : at + 4]) == data.find(data[at : at + 4], at // 2)
-    assert aio._find(io.BytesIO(data), b"\n  ]") == -1
+    monkeypatch.setattr(aio, "_PIECE", piece)
+    assert aio._graph_from_pieces(io.BytesIO(documents["graph"].encode())) == g
+    for name in ("label", "export"):
+        assert aio._labeling_from_pieces(io.BytesIO(documents[name].encode()), g) == labeling
+
+
+class _CountingReader(io.BufferedReader):
+    """A buffered file that counts the bytes its `read` calls return."""
+
+    returned = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.returned += len(data)
+        return data
+
+
+@pytest.mark.parametrize("piece", [300, aio._PIECE], ids=["few-rows", "default"])
+def test_the_piece_reader_reads_each_byte_once(piece, monkeypatch, tmp_path):
+    """A graph or labeling file read in pieces is read front to back once:
+    its reads return no more than its size and one `_PIECE`."""
+    g, labeling, documents = _written_documents("spider_p4.json")
+    monkeypatch.setattr(aio, "_PIECE", piece)
+    for name, want in (("graph", g), ("label", labeling)):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(documents[name].encode())
+        with _CountingReader(io.FileIO(path)) as file:
+            got = aio.graph_from_json(file, path) if name == "graph" else aio.labeling_from_json(file, g, path)
+            assert got == want
+            assert file.returned <= path.stat().st_size + piece, name
+
+
+def test_rows_on_one_line_are_read_in_linear_time(monkeypatch):
+    """With no row separator to cut at, all rows make one piece, and each
+    read is searched once: a graph document of about 3 MB with every row on
+    one line, read 64 bytes at a time, reads as the whole read does in
+    seconds, where searching the whole buffer again after each read takes
+    minutes."""
+    count = 220_000
+    rows = ",".join(f"[{i},{i + 1}]" for i in range(count))
+    data = ('{\n  "edges": [\n    ' + rows + '\n  ],\n  "vertices": %d\n}\n' % (count + 1)).encode()
+    assert len(data) > 3_000_000
+    monkeypatch.setattr(aio, "_PIECE", 64)
+    start = time.perf_counter()
+    got = aio._graph_from_pieces(io.BytesIO(data))
+    assert time.perf_counter() - start < 10
+    assert got == aio.graph_from_json(json.loads(data))
 
 
 def test_a_file_that_cannot_seek_is_read_into_memory():

@@ -23,6 +23,20 @@ def test_peak_rss_runs_each_command_in_a_fresh_process():
         assert float(match.group(1)) > 1
 
 
+def test_peak_rss_stops_quietly_when_its_output_closes():
+    """A reader that takes one line and closes the pipe, as `head -1` does,
+    ends the tool with exit 1 and no traceback."""
+    with subprocess.Popen(
+        [sys.executable, str(TOOLS / "peak_rss.py"), "--center", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as tool:
+        assert tool.stdout.readline().startswith("build ")
+        tool.stdout.close()
+        _, stderr = tool.communicate(timeout=120)
+    assert tool.returncode == 1
+    assert "Traceback" not in stderr, stderr
+
+
 def test_code_lines_counts_each_module_once_and_sums_them():
     done = subprocess.run(
         [sys.executable, str(TOOLS / "code_lines.py")], capture_output=True, text=True, timeout=60, check=True

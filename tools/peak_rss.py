@@ -12,9 +12,11 @@ last `verify` of the CSV labeling that `label --out --format csv` writes
 (`verify-csv`; that `label` run is not measured). Each runs as a child
 process `python -m antimagic.cli` that imports the package from src/ of
 this checkout, with its standard output discarded. Prints one line per
-measured command: its exit code, its peak resident set size (`ru_maxrss`
-of that child alone, from `os.wait4`) and its wall time. Uses only the
-standard library.
+measured command, as soon as the command ends: its exit code, its peak
+resident set size (`ru_maxrss` of that child alone, from `os.wait4`) and its
+wall time. When its standard output closes early, as under `| head -1`, it
+stops at the next line it prints and exits 1 with no traceback. Uses only
+the standard library.
 """
 
 from __future__ import annotations
@@ -68,9 +70,15 @@ def main(argv: list[str] | None = None) -> int:
             code, peak_mb, wall = run_child(command)
             failed += code != 0
             if name is not None:
-                print(f"{name:10}  exit {code}  peak {peak_mb:7.1f} MB  wall {wall:6.2f} s")
+                print(f"{name:10}  exit {code}  peak {peak_mb:7.1f} MB  wall {wall:6.2f} s", flush=True)
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:
+        # The reader has gone: send what is still buffered for stdout to
+        # devnull, so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
