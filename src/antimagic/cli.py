@@ -39,9 +39,9 @@ def main(argv: list[str] | None = None) -> int:
     # Pause the cyclic collector for this one command. What a command builds
     # in bulk (JSON values, edge tuples, label lists, documents) holds no
     # reference cycle, so reference counting frees it all, and the collector
-    # would only rescan live data: on a 136k-edge input that was a fifth of
-    # `verify`. Resume it only if it was running, so a caller that turned it
-    # off keeps it off.
+    # would only rescan live data: on a 136k-edge input that was a tenth of
+    # `verify` and of `label`. Resume it only if it was running, so a caller
+    # that turned it off keeps it off.
     collecting = gc.isenabled()
     gc.disable()
     try:

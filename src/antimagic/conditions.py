@@ -106,19 +106,16 @@ def _spider_conditions(p: int, n: _Ints, lo: _Ints, hi: _Ints, deg: list[int]) -
     return out
 
 
-# A chain row's description around the ids of Hi and H(i+1), cut where `_chain`
-# puts them: the f-string it builds them with is cheaper than `str.format`.
-_SIZE = "|V(H{})| <= |V(H{})|".split("{}")
-_DEGREE = "max deg H{} <= min deg H{}".split("{}")
+_SIZE = "|V(H{})| <= |V(H{})|"
+_DEGREE = "max deg H{} <= min deg H{}"
 
 
-def _chain(id_fmt: str, cut: list[str], lhs: _Ints, rhs: _Ints, blocks: range) -> list[Condition]:
+def _chain(id_fmt: str, desc_fmt: str, lhs: _Ints, rhs: _Ints, blocks: range) -> list[Condition]:
     """The row id_fmt.format(i), lhs[i] <= rhs[i + 1], for each i in blocks:
     |V(Hi)| <= |V(H(i+1))| with `_SIZE`, n and n, or max deg Hi <= min deg
     H(i+1) with `_DEGREE`, hi and lo."""
-    before, between, after = cut
     return [
-        _cond(id_fmt.format(i), f"{before}{i}{between}{i + 1}{after}", lhs[i], rhs[i + 1])
+        _cond(id_fmt.format(i), desc_fmt.format(i, i + 1), lhs[i], rhs[i + 1])
         for i in blocks
     ]
 

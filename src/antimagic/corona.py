@@ -101,14 +101,11 @@ class CoronaInstance:
         edge k, "internal:b" for an edge inside block b, and "cross:b:x:j"
         for the edge from base vertex x to the j-th (1-based) vertex of
         block b."""
-        base_edges = self.base_graph.edge_count
-        ordinals = list(map(str, range(max(base_edges, *self.attachment_orders) + 1)))
-        roles = list(map("base:".__add__, ordinals[:base_edges]))
+        roles = [f"base:{k}" for k in range(self.base_graph.edge_count)]
         for index, h, _, edge_ids, endpoints in self.blocks:
             roles += repeat(f"internal:{index}", len(edge_ids))
-            fan = ordinals[1 : h.vertex_count + 1]
             for endpoint in endpoints:
-                roles += map(f"cross:{index}:{endpoint}:".__add__, fan)
+                roles += (f"cross:{index}:{endpoint}:{j}" for j in range(1, h.vertex_count + 1))
         return roles
 
 
@@ -160,8 +157,6 @@ def _build(kind: str, param: int, attachments: Sequence[Graph]) -> CoronaInstanc
     names = list(base.names)
     edges = list(base.edges)
 
-    # "0", "1", ...: the suffixes of the block vertex names.
-    ordinals = list(map(str, range(max(g.vertex_count for g in attachments) + 1)))
     total_orders = sum(g.vertex_count for g in attachments)
     # One int per vertex id, shared by every edge that holds it.
     ids = list(range(base.vertex_count + total_orders))
@@ -171,7 +166,7 @@ def _build(kind: str, param: int, attachments: Sequence[Graph]) -> CoronaInstanc
         block_id = first_block + k
         start = next_vertex
         block_ids = ids[start : start + h.vertex_count]
-        names += map(f"v{block_id}_".__add__, ordinals[1 : h.vertex_count + 1])
+        names += (f"v{block_id}_{j}" for j in range(1, h.vertex_count + 1))
         # Internal edges, then the cross fans from the lower and the upper
         # base endpoint, each contiguous; Block.cross_fan and
         # CoronaInstance.edge_roles rely on this.

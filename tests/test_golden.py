@@ -43,6 +43,10 @@ CLI_CASES = [
 ]
 
 DIGEST = "15e06d7ef182d0b30914fbe95a9bb0943d8f2db6f8b20d853c2acb6cc4134e24"
+# SHA-256 of the composite vertex names and the edge roles of every golden
+# instance, produced by the code that built them from precomputed tables of
+# number strings.
+NAMES_AND_ROLES_DIGEST = "f7611498a8d70c722127f3861980a08c5156221d9a6ce63f5350afe2ee1848ae"
 
 
 @pytest.mark.parametrize("argv, name, code", CLI_CASES, ids=[c[1] for c in CLI_CASES])
@@ -111,3 +115,11 @@ def evidence_digest():
 
 def test_labeling_evidence_digest():
     assert evidence_digest() == DIGEST
+
+
+def test_names_and_roles_digest():
+    h = hashlib.sha256()
+    for inst in golden_instances():
+        for strings in (inst.composite.names, inst.edge_roles):
+            h.update("\n".join(strings).encode() + b"\n\n")
+    assert h.hexdigest() == NAMES_AND_ROLES_DIGEST

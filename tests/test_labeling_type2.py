@@ -217,3 +217,16 @@ def test_the_schedule_holds_no_list_of_edge_ids():
     run, peak = peak_bytes(lambda: run_type2(inst, force=True))
     assert run == first
     assert peak < 64 * g.edge_count, (peak, g.edge_count)
+
+
+def test_building_the_instance_holds_one_list_of_edges():
+    """Building the same spider p=4 peaks below 80 traced bytes an edge:
+    room for the edge tuples (56 bytes each), the list they are gathered in
+    and the tuple the composite keeps (8 bytes each), and the names, but not
+    for one more list with an entry per edge. It measured 74.8."""
+    attachments = [K(2)] * 9 + [K(120)] * 3
+    first = build_type2(4, attachments)  # imports and first calls happen here
+    inst, peak = peak_bytes(lambda: build_type2(4, attachments))
+    assert inst == first
+    assert inst.composite.edge_count == 22_197
+    assert peak < 80 * inst.composite.edge_count, (peak, inst.composite.edge_count)
